@@ -1,30 +1,25 @@
-"""Dispatch-runtime throughput: packets/sec scaling across shards and
-backends.
+"""Dispatch-runtime throughput: packets/sec scaling across shards.
 
 The paper stops at "validated code runs at native speed"; a kernel
 actually *serving* traffic runs many extensions over many packets on
 many cores.  This benchmark drives the full trace through
 :class:`repro.runtime.PacketRuntime` with all four paper filters
-attached and a cycle budget armed, at 1/2/4/8 shards under **both**
-shard backends (in-process threads and shared-nothing forked worker
-processes), and reports
+attached and a cycle budget armed, at 1/2/4/8 shards (one worker
+thread each), and reports
 
 * **modeled aggregate throughput** — packets over the busiest shard's
   cycle clock at the Alpha's 175 MHz.  Shards are modeled cores, so
   this is the number that must scale: the acceptance bar is >= 2x
   going from 1 shard to 4 shards (near-linear in practice; the only
   loss is packet-mix imbalance between shards);
-* **wall throughput per backend** — no longer just a sanity column:
-  the batch-compiled hot path (:mod:`repro.alpha.batch`) must deliver
+* **wall throughput** — no longer just a sanity column: the
+  batch-compiled hot path (:mod:`repro.alpha.batch`) must deliver
   >= 10x the pre-batch ~48k pps single-shard baseline at full trace
-  length, and the process backend must actually scale on wall clocks
-  (>= 2x from 1 to 4 shards) when the host has the cores for it —
-  threads stay GIL-flat on CPython, which is the regression this
-  bench now documents per row instead of averaging away;
+  length.  Threads stay GIL-flat on CPython, which this bench
+  documents per row instead of averaging away;
 * **verdict stability** — per-extension accept counts must be
-  bit-identical at every shard count *and on every backend* (neither
-  sharding nor the worker vehicle may change semantics), enforced
-  here, with zero faults and zero quarantines.
+  bit-identical at every shard count (sharding may not change
+  semantics), enforced here, with zero faults and zero quarantines.
 
 Scale comes from the shared ``--packets`` / ``PCC_BENCH_PACKETS`` quick
 mode; run with ``--packets 200000`` to reproduce at the paper's trace
@@ -36,7 +31,6 @@ import os
 
 from repro.runtime import PacketRuntime, RuntimeConfig
 
-BACKENDS = ("thread", "process")
 SHARD_COUNTS = (1, 2, 4, 8)
 
 #: Generous per-invocation cycle budget: enforcement is *on* (every
@@ -51,8 +45,7 @@ CYCLE_BUDGET = 100_000
 BASELINE_WALL_PPS = 48_000
 
 #: Wall-clock assertions only make sense at full trace length (startup
-#: noise dominates quick mode) and, for parallel scaling, when the host
-#: actually has cores to scale onto.
+#: noise dominates quick mode).
 FULL_TRACE = 200_000
 
 
@@ -66,57 +59,47 @@ def test_runtime_throughput(benchmark, filter_policy, certified_filters,
     baseline_accepts: dict[str, int] | None = None
 
     def serve_all():
-        for backend in BACKENDS:
-            for shards in SHARD_COUNTS:
-                runtime = PacketRuntime(filter_policy, RuntimeConfig(
-                    shards=shards, backend=backend,
-                    cycle_budget=CYCLE_BUDGET, fault_threshold=3))
-                for name, blob in blobs.items():
-                    runtime.attach(name, blob)
-                report = runtime.serve(trace)
-                snapshot = runtime.snapshot()
-                accepts = {ext.name: ext.accepted
-                           for ext in snapshot.extensions}
-                nonlocal baseline_accepts
-                if baseline_accepts is None:
-                    baseline_accepts = accepts
-                # neither sharding nor the backend may change semantics
-                assert accepts == baseline_accepts, \
-                    f"verdicts drifted at {shards} shards ({backend})"
-                assert snapshot.faults == 0
-                assert all(ext.state == "active"
-                           for ext in snapshot.extensions)
-                rows.append({
-                    "backend": report.backend,
-                    "shards": shards,
-                    "packets": report.packets,
-                    "modeled_pps": report.modeled_packets_per_second,
-                    "modeled_seconds": report.modeled_seconds,
-                    "wall_seconds": report.wall_seconds,
-                    "wall_pps": report.wall_packets_per_second,
-                    "shard_cycles": list(report.shard_cycles),
-                    "p99_cycles": {ext.name: ext.p99_cycles
-                                   for ext in snapshot.extensions},
-                })
+        for shards in SHARD_COUNTS:
+            runtime = PacketRuntime(filter_policy, RuntimeConfig(
+                shards=shards, cycle_budget=CYCLE_BUDGET,
+                fault_threshold=3))
+            for name, blob in blobs.items():
+                runtime.attach(name, blob)
+            report = runtime.serve(trace)
+            snapshot = runtime.snapshot()
+            accepts = {ext.name: ext.accepted
+                       for ext in snapshot.extensions}
+            nonlocal baseline_accepts
+            if baseline_accepts is None:
+                baseline_accepts = accepts
+            # sharding may not change semantics
+            assert accepts == baseline_accepts, \
+                f"verdicts drifted at {shards} shards"
+            assert snapshot.faults == 0
+            assert all(ext.state == "active"
+                       for ext in snapshot.extensions)
+            rows.append({
+                "shards": shards,
+                "packets": report.packets,
+                "modeled_pps": report.modeled_packets_per_second,
+                "modeled_seconds": report.modeled_seconds,
+                "wall_seconds": report.wall_seconds,
+                "wall_pps": report.wall_packets_per_second,
+                "shard_cycles": list(report.shard_cycles),
+                "p99_cycles": {ext.name: ext.p99_cycles
+                               for ext in snapshot.extensions},
+            })
 
     benchmark.pedantic(serve_all, rounds=1, iterations=1)
 
-    by_key = {(row["backend"], row["shards"]): row for row in rows}
+    by_shards = {row["shards"]: row for row in rows}
     packets = rows[0]["packets"]
-    # Modeled scaling is backend-independent (same cycle clocks); keep
-    # the historical key computed from the thread rows.
-    scaling_4x = (by_key["thread", 4]["modeled_pps"]
-                  / by_key["thread", 1]["modeled_pps"])
-    scaling_8x = (by_key["thread", 8]["modeled_pps"]
-                  / by_key["thread", 1]["modeled_pps"])
+    scaling_4x = by_shards[4]["modeled_pps"] / by_shards[1]["modeled_pps"]
+    scaling_8x = by_shards[8]["modeled_pps"] / by_shards[1]["modeled_pps"]
     wall_scaling = {
-        backend: {
-            f"wall_scaling_1_to_{shards}":
-                (by_key[backend, shards]["wall_pps"]
-                 / by_key[backend, 1]["wall_pps"])
-            for shards in SHARD_COUNTS[1:]
-        }
-        for backend in BACKENDS
+        f"wall_scaling_1_to_{shards}":
+            by_shards[shards]["wall_pps"] / by_shards[1]["wall_pps"]
+        for shards in SHARD_COUNTS[1:]
     }
     best = max(rows, key=lambda row: row["wall_pps"])
 
@@ -125,13 +108,13 @@ def test_runtime_throughput(benchmark, filter_policy, certified_filters,
         f"{packets} packets, cycle budget {CYCLE_BUDGET}, "
         "fault threshold 3",
         "",
-        f"{'backend':>8} {'shards':>6} {'modeled pkts/s':>15} "
+        f"{'shards':>6} {'modeled pkts/s':>15} "
         f"{'modeled ms':>11} {'wall pkts/s':>12} {'wall ms':>9} "
         f"{'busiest-shard cycles':>21}",
     ]
     for row in rows:
         lines.append(
-            f"{row['backend']:>8} {row['shards']:>6} "
+            f"{row['shards']:>6} "
             f"{row['modeled_pps']:>15,.0f} "
             f"{row['modeled_seconds'] * 1e3:>11.2f} "
             f"{row['wall_pps']:>12,.0f} "
@@ -142,20 +125,16 @@ def test_runtime_throughput(benchmark, filter_policy, certified_filters,
         f"modeled scaling 1 -> 4 shards: {scaling_4x:.2f}x "
         f"(acceptance bar: 2x); 1 -> 8: {scaling_8x:.2f}x",
     ]
-    for backend in BACKENDS:
-        ratios = wall_scaling[backend]
-        lines.append(
-            f"wall scaling ({backend}): " + ", ".join(
-                f"1->{shards}: "
-                f"{ratios[f'wall_scaling_1_to_{shards}']:.2f}x"
-                for shards in SHARD_COUNTS[1:]))
+    lines.append("wall scaling: " + ", ".join(
+        f"1->{shards}: {wall_scaling[f'wall_scaling_1_to_{shards}']:.2f}x"
+        for shards in SHARD_COUNTS[1:]))
     lines += [
         f"best wall: {best['wall_pps']:,.0f} pps "
-        f"({best['backend']}, {best['shards']} shard(s)) vs "
+        f"({best['shards']} shard(s)) vs "
         f"{BASELINE_WALL_PPS:,} pps pre-batch baseline "
         f"({best['wall_pps'] / BASELINE_WALL_PPS:.1f}x)",
         f"host cores: {os.cpu_count()}",
-        "verdicts bit-identical across all shard counts and backends; "
+        "verdicts bit-identical across all shard counts; "
         "0 faults, 0 quarantines",
     ]
     record("runtime_throughput", lines)
@@ -179,9 +158,3 @@ def test_runtime_throughput(benchmark, filter_policy, certified_filters,
         # pre-batch per-packet dispatch loop by an order of magnitude.
         assert best["wall_pps"] >= 10 * BASELINE_WALL_PPS, \
             f"best wall pps {best['wall_pps']:,.0f} < 10x baseline"
-    if packets >= FULL_TRACE and (os.cpu_count() or 1) >= 4:
-        # True-parallel scaling needs true cores; a 1-core container
-        # cannot (and should not pretend to) scale on wall clocks.
-        process_4x = wall_scaling["process"]["wall_scaling_1_to_4"]
-        assert process_4x >= 2.0, \
-            f"process backend wall scaling 1->4 only {process_4x:.2f}x"

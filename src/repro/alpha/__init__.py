@@ -10,9 +10,9 @@ the byte-manipulation and compare instructions the hand-tuned filters need):
 * :mod:`repro.alpha.machine` — the concrete processor (no safety checks),
 * :mod:`repro.alpha.abstract` — the paper's abstract machine (Figure 3),
   which blocks on any rd()/wr() safety-check failure,
-* :mod:`repro.alpha.engine` — the threaded-code execution engine: the
-  same semantics as both machines (checks are a decode-time parameter),
-  pre-decoded into per-instruction closures for the perf harness.
+* :mod:`repro.alpha.engine` — the compiled execution engine: the same
+  semantics as both machines (checks are a decode-time parameter),
+  compiled once into exec-generated basic-block functions.
 """
 
 from repro.alpha.isa import (

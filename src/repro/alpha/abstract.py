@@ -54,11 +54,11 @@ def abstract_engine(program: Program,
                     can_write: AddressPredicate,
                     cost_model=None,
                     max_steps: int = 1_000_000) -> ExecutionEngine:
-    """A threaded-code engine with the rd()/wr() checks decoded in.
+    """A compiled engine with the rd()/wr() checks decoded in.
 
     Behaviourally identical to :class:`AbstractMachine` (the reference
-    subclass below) but pays the safety checks only on memory
-    instructions' closures instead of a per-step virtual dispatch.
+    subclass below) but pays the safety checks only in the compiled code
+    of memory instructions instead of a per-step virtual dispatch.
     Checked translations embed the per-run predicates, so they are not
     shared through the global code cache.
     """

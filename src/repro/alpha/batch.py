@@ -1,12 +1,12 @@
 """Whole-trace batch compilation for the packet-filter hot path.
 
 :class:`~repro.alpha.engine.ExecutionEngine` already removes the
-per-instruction interpretation cost (closure tables, exec-compiled
-basic-block superinstructions), but the dispatch runtime still pays a
-fixed per-*invocation* Python toll: rebind the packet region, build the
-register dict, enter ``run()``, thread every block transition through
-the run loop, allocate a :class:`MachineResult`.  At ~6 µs per
-invocation that toll dwarfs the filters themselves.
+per-instruction interpretation cost (exec-compiled basic blocks), but
+the dispatch runtime still pays a fixed per-*invocation* Python toll:
+rebind the packet region, build the register dict, enter ``run()``,
+thread every block transition through the run loop, allocate a
+:class:`MachineResult`.  At ~6 µs per invocation that toll dwarfs the
+filters themselves.
 
 This module compiles an entire *program* — not just its blocks — into a
 single exec-generated **batch driver**: one Python function that loops
@@ -20,9 +20,9 @@ contract (:class:`FramePlan`):
 * registers are evaluated symbolically: r1/r3 are the plan's constant
   bases, r2 is the frame length, everything else starts at 0, and all
   arithmetic over compile-time constants is folded using the *reference
-  machine's own* operator semantics (:func:`repro.alpha.machine
-  ._operate`), so constant addresses, shifts and comparisons disappear
-  into literals;
+  machine's own* operator semantics (the reference functions of
+  :data:`repro.alpha.isa.OPERATES`), so constant addresses, shifts and
+  comparisons disappear into literals;
 * every symbolic value carries an interval ``[min, max]`` and a
   known-trailing-zero-bits count.  The ranges prove most ``& 2**64-1``
   wrap masks redundant (the operands cannot overflow), fold branches
@@ -74,6 +74,9 @@ from struct import Struct
 from typing import NamedTuple
 
 from repro.alpha.isa import (
+    BRANCHES,
+    OPERATES,
+    WORD_MASK,
     Br,
     Branch,
     Lda,
@@ -85,7 +88,8 @@ from repro.alpha.isa import (
     Ret,
     Stq,
 )
-from repro.alpha.machine import WORD_MASK, _branch_taken, _operate, _sext16
+from repro.alpha.engine import block_leaders
+from repro.alpha.machine import _sext16
 from repro.errors import BudgetExceeded, MachineError
 
 __all__ = ["BatchRunner", "FramePlan", "batch_capability", "compile_batch"]
@@ -184,18 +188,7 @@ def batch_capability(program: Program,
                     f"at pc={pc}")  # pragma: no cover - closed class
     # Same block graph as the compiler, unit costs: detect cycles and
     # step-limit-reachable worst-case paths without emitting anything.
-    leaders = {0} if size else set()
-    for pc, instruction in enumerate(program):
-        if isinstance(instruction, Branch):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-            if pc + 1 < size:
-                leaders.add(pc + 1)
-        elif isinstance(instruction, Br):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
+    leaders = block_leaders(program)
     block_len: dict[int, int] = {}
     for leader in leaders:
         pc = leader
@@ -266,18 +259,7 @@ def compile_batch(program: Program, cost_model, plan: FramePlan,
     # Block structure, exactly as the engine's superinstruction layer
     # carves it: the driver must charge cycles and check budgets at the
     # same boundaries or BudgetExceeded payloads would drift.
-    leaders = {0} if size else set()
-    for pc, instruction in enumerate(program):
-        if isinstance(instruction, Branch):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-            if pc + 1 < size:
-                leaders.add(pc + 1)
-        elif isinstance(instruction, Br):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
+    leaders = block_leaders(program)
     block_len: dict[int, int] = {}
     block_cost: dict[int, int] = {}
     for leader in leaders:
@@ -572,20 +554,12 @@ def _branch_decide(name: str, mn: int, mx: int):
 
 def _branch_cond(name: str, s: str, mx: int) -> str:
     """The Python test for "branch taken".  Registers are ints, so
-    truthiness is exactly ``!= 0``."""
-    if name == "BNE":
+    truthiness is exactly ``!= 0``; below 2^63 BGT/BLE reduce to it."""
+    if name == "BNE" or (name == "BGT" and mx < _S63):
         return s
-    if name == "BEQ":
+    if name == "BEQ" or (name == "BLE" and mx < _S63):
         return f"not {s}"
-    if name == "BGE":
-        return f"{s} < {_S63}"
-    if name == "BLT":
-        return f"{s} >= {_S63}"
-    if name == "BGT":
-        return s if mx < _S63 else f"0 < {s} < {_S63}"
-    if name == "BLE":
-        return f"not {s}" if mx < _S63 else f"{s} >= {_S63} or {s} == 0"
-    raise _Fallback(f"unknown branch {name!r}")  # pragma: no cover
+    return BRANCHES[name].template.format(s=s)
 
 
 _ASSIGN = re.compile(r"(t\d+) = (.*)$")
@@ -744,7 +718,8 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
             else:
                 b = regs.get(instruction.rb.index, _ZERO)
             if a[0] == "k" and b[0] == "k":
-                value = ("k", _operate(instruction.name, a[1], b[1]))
+                apply = OPERATES[instruction.name].apply
+                value = ("k", apply(a[1], b[1]))
             else:
                 value = _identity(instruction.name, a, b)
                 if value is None:
@@ -794,7 +769,7 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
                      f'raise MachineError("pc {pc} outside program")')
                 return
             # Block entry: charge the block, then (budgeted) compare the
-            # now-constant clock, reproducing run_budgeted's payloads.
+            # now-constant clock, reproducing the budgeted run's payloads.
             cum_cycles += block_cost[pc]
             if budgeted:
                 emit(indent, f"if {cum_cycles} > b:")
@@ -820,7 +795,7 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
                     taken = p + 1 + instruction.offset
                     if value[0] == "k":
                         pc = (taken
-                              if _branch_taken(instruction.name, value[1])
+                              if BRANCHES[instruction.name].taken(value[1])
                               else p + 1)
                         transferred = True
                         break

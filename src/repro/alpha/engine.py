@@ -1,53 +1,52 @@
-"""Threaded-code execution engine for the Alpha subset.
+"""Compiled execution engine for the Alpha subset.
 
 :class:`repro.alpha.machine.Machine` is the *reference* interpreter: it
 re-decodes every instruction on every step (``isinstance`` chains,
-string-keyed operator dispatch, a ``cost_model.cycles()`` call per
+table-keyed operator dispatch, a ``cost_model.cycles()`` call per
 instruction).  That is faithful to Figure 3 but dominates the wall-clock
 cost of the paper's evaluation, where four filters run over a
 200,000-packet trace under six approaches.
 
 This module removes the interpretation overhead without changing a single
-modeled cycle.  A :class:`Program` is translated *once* into a flat list
-of specialized per-instruction closures — classic threaded code, the same
-escape hatch real packet-filter stacks use when they outgrow a
-switch-based interpreter:
+modeled cycle.  A :class:`Program` is compiled *once* into *basic-block
+functions*: each straight-line run (single entry, terminated by a control
+transfer or the next branch target) becomes one Python function generated
+with ``exec``:
 
-* operand register indices, sign-extended displacements, pre-shifted
-  literal amounts, and branch targets are resolved at decode time and
-  captured in closure cells;
-* the per-instruction cycle charge is looked up from the cost model once
-  per *static* instruction and stored in a parallel ``costs`` array, so
-  the run loop replaces a polymorphic ``cycles()`` call with a list index;
-* branch successors are validated at decode time: a target that leaves
-  the program compiles to a trap closure that raises the same
-  :class:`~repro.errors.MachineError` the reference machine would raise,
-  at the same point in execution, so the run loop needs no per-step
-  bounds check;
+* operand register indices, sign-extended displacements, literals and
+  branch targets are inlined as constants, and registers live in locals
+  that are flushed to the register file at the block exit;
+* operate and branch semantics are the expression templates of
+  :data:`repro.alpha.isa.OPERATES` and :data:`~repro.alpha.isa.BRANCHES`
+  — the same table rows whose reference functions the machine calls;
+* the cost model is consulted once per *static* instruction, so a
+  block's dynamic step and cycle counts are decode-time constants and
+  the run loop charges them with two additions per block;
+* a branch target that leaves the program compiles to a trap slot past
+  the end of the table, raising the same :class:`~repro.errors
+  .MachineError` the reference machine would raise at the same point in
+  execution, so the run loop needs no per-step bounds check;
 * the abstract machine's rd()/wr() checks are a *decode-time* parameter:
   passing ``check_read``/``check_write`` bakes the paper's Figure 3
-  safety checks into the LDQ/STQ closures, so
-  :mod:`repro.alpha.abstract` rides the same engine (see
-  :func:`repro.alpha.abstract.abstract_engine`).
+  safety checks into the LDQ/STQ code, so :mod:`repro.alpha.abstract`
+  rides the same engine (see :func:`repro.alpha.abstract
+  .abstract_engine`).
 
-On top of the closure table sits a second decode layer: *basic-block
-superinstructions*.  Straight-line runs (single entry, terminated by a
-control transfer or the next branch target) are compiled with ``exec``
-into one specialized Python function per block — constants inlined as
-literals, registers held in locals and flushed to the register file at
-the block exit.  A block's dynamic step and cycle counts are decode-time
-constants, so the run loop charges them with two additions per *block*
-instead of per instruction.  Mid-block exceptions are safe: ``run()``
-never exposes its register list, so deferred write-back is unobservable,
-and error messages/order are unchanged because instructions execute in
-program order inside the block.  The per-instruction table remains the
-execution vehicle near the step limit, where the reference machine's
-per-instruction limit check must be replicated exactly.
+Mid-block exceptions are safe: ``run()`` never exposes its register
+list, so deferred write-back is unobservable, and error messages and
+their order are unchanged because instructions execute in program order
+inside the block.
+
+The reference machine checks the step limit before every instruction.
+A block that would cross ``max_steps`` therefore runs one instruction
+at a time instead, on a second table that the same emitter builds with
+every pc treated as a leader.  That table is built lazily, the first
+time a run comes within one block of the limit.
 
 Unchecked translations are cached per ``(program, cost_model)`` in a
 module-level code cache: the perf harness compiles each filter once and
-reuses the closure table across all 200,000 packets.  Checked
-translations capture per-run predicates and are rebuilt per engine.
+reuses it across all 200,000 packets.  Checked translations capture
+per-run predicates and are rebuilt per engine.
 
 The engine is *bit-identical* to the reference machine — same
 ``MachineResult`` fields, same error types and messages, same
@@ -63,12 +62,14 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from repro.alpha.isa import (
+    BRANCHES,
     NUM_REGS,
+    OPERATES,
+    WORD_MASK,
     Br,
     Branch,
     Instruction,
     Lda,
-    Ldah,
     Ldq,
     Lit,
     Operate,
@@ -76,14 +77,8 @@ from repro.alpha.isa import (
     Ret,
     Stq,
 )
-from repro.alpha.machine import MachineResult, Memory, WORD_MASK, _sext16
+from repro.alpha.machine import MachineResult, Memory, _sext16
 from repro.errors import BudgetExceeded, MachineError
-
-_SIGN_BIT = 1 << 63
-
-#: A translated instruction: ``(regs, memory) -> next_pc``; a negative
-#: next_pc means RET (the result is in ``regs[0]``).
-Op = Callable[[list, Memory], int]
 
 #: Safety-check hook, as in :meth:`Machine._check_read`: called with
 #: ``(address, pc)``, raises to block execution.
@@ -92,21 +87,67 @@ CheckHook = Callable[[int, int], None]
 _RET = -1
 
 
-class CompiledCode(NamedTuple):
-    """Both decode layers for one program.
+class CodeTable(NamedTuple):
+    """Compiled functions indexed by entry pc.
 
-    ``ops``/``costs`` are the per-instruction closure table (plus trap
-    slots appended past the program for invalid branch targets).
-    ``blocks``/``block_len``/``block_cost`` are the basic-block layer:
-    indexed by pc, populated only at block leaders and trap slots — the
-    only pcs control flow can ever reach from outside a block.
+    ``run[pc]`` executes from ``pc`` to the end of its block and returns
+    the next pc (negative for RET); ``length[pc]`` and ``cost[pc]`` are
+    the instructions and cycles one call executes.  Only entry pcs and
+    trap slots (zero-length entries past the program) are populated —
+    the only pcs control flow can reach from outside an entry.
     """
 
-    ops: list
-    costs: list
-    blocks: list
-    block_len: list
-    block_cost: list
+    run: list
+    length: list
+    cost: list
+
+
+class CompiledCode:
+    """The block table of one program, plus its lazily built
+    single-instruction table for runs that approach the step limit."""
+
+    def __init__(self, program: Program, cost_model,
+                 check_read: CheckHook | None,
+                 check_write: CheckHook | None) -> None:
+        self._program = program
+        self._costs = [cost_model.cycles(instruction) if cost_model else 1
+                       for instruction in program]
+        self._hooks = (check_read, check_write)
+        self._traps = _trap_slots(program)
+        self.blocks = self._compile(block_leaders(program))
+        self._steps: CodeTable | None = None
+
+    def steps(self) -> CodeTable:
+        """The table with every pc as a leader (one instruction each)."""
+        if self._steps is None:
+            self._steps = self._compile(set(range(len(self._program))))
+        return self._steps
+
+    def _compile(self, leaders: set[int]) -> CodeTable:
+        program = self._program
+        traps = self._traps
+        check_read, check_write = self._hooks
+        width = len(program) + len(traps)
+        table = CodeTable([None] * width, [0] * width, [0] * width)
+        sources = [
+            f"def _b{slot}(regs, memory):\n"
+            f'    raise MachineError("pc {target} outside program")'
+            for target, slot in traps.items()
+        ]
+        for leader in sorted(leaders):
+            body, length = _block_source(program, leader, leaders, traps,
+                                         check_read is not None,
+                                         check_write is not None)
+            sources.append(f"def _b{leader}(regs, memory):\n{body}")
+            table.length[leader] = length
+            table.cost[leader] = sum(self._costs[leader:leader + length])
+        namespace = {"check_read": check_read, "check_write": check_write,
+                     "MachineError": MachineError}
+        exec(compile("\n".join(sources), "<alpha-blocks>", "exec"),
+             namespace)
+        for pc in range(width):
+            table.run[pc] = namespace.get(f"_b{pc}")
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +171,7 @@ def compile_program(program: Program, cost_model=None,
                     check_read: CheckHook | None = None,
                     check_write: CheckHook | None = None,
                     ) -> CompiledCode:
-    """Translate ``program`` into threaded code (:class:`CompiledCode`).
+    """Compile ``program`` into a :class:`CompiledCode`.
 
     Unchecked translations are cached; checked ones capture the hook
     closures and are always rebuilt (the hooks embed per-run state).
@@ -140,31 +181,21 @@ def compile_program(program: Program, cost_model=None,
         try:
             cached = _CODE_CACHE.get(key)
         except TypeError:           # unhashable custom cost model
-            return _compile(program, cost_model, None, None)
+            return CompiledCode(program, cost_model, None, None)
         if cached is not None:
             return cached
-        compiled = _compile(program, cost_model, None, None)
+        compiled = CompiledCode(program, cost_model, None, None)
         if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
             _CODE_CACHE.clear()
         _CODE_CACHE[key] = compiled
         return compiled
-    return _compile(program, cost_model, check_read, check_write)
-
-
-def _compile(program: Program, cost_model,
-             check_read: CheckHook | None,
-             check_write: CheckHook | None) -> CompiledCode:
-    ops, costs, traps = _translate(program, cost_model,
-                                   check_read, check_write)
-    blocks, block_len, block_cost = _compile_blocks(
-        program, ops, costs, traps, check_read, check_write)
-    return CompiledCode(ops, costs, blocks, block_len, block_cost)
+    return CompiledCode(program, cost_model, check_read, check_write)
 
 
 class ExecutionEngine:
-    """Runs one translated program; reusable across memories and runs.
+    """Runs one compiled program; reusable across memories and runs.
 
-    The constructor pays the (cached) translation cost; :meth:`run` is
+    The constructor pays the (cached) compilation cost; :meth:`run` is
     the per-packet hot path.  ``check_read``/``check_write`` follow the
     :meth:`Machine._check_read` contract and turn this into the abstract
     machine of Figure 3.
@@ -179,88 +210,25 @@ class ExecutionEngine:
         self.max_steps = max_steps
         self._code = compile_program(
             program, cost_model, check_read, check_write)
-        self._ops = self._code.ops
-        self._costs = self._code.costs
 
-    def run(self, memory: Memory,
-            registers: dict[int, int] | None = None) -> MachineResult:
-        """Execute once against ``memory``; registers start zeroed."""
-        regs = [0] * NUM_REGS
-        if registers:
-            for index, value in registers.items():
-                regs[index] = value & WORD_MASK
-        code = self._code
-        blocks = code.blocks
-        block_len = code.block_len
-        block_cost = code.block_cost
-        max_steps = self.max_steps
-        pc = 0
-        steps = 0
-        cycles = 0
-        # Blocks are entered only at leaders, so a block's step and cycle
-        # charges are decode-time constants.  The step-limit check guards
-        # every block entry; a block that would cross the limit runs
-        # per-instruction instead, reproducing the reference machine's
-        # check ordering exactly (a block never crosses the limit
-        # silently, and errors raised before the limit still win).
-        while True:
-            if steps >= max_steps:
-                raise MachineError(
-                    f"exceeded {max_steps} steps (runaway program?)")
-            length = block_len[pc]
-            if steps + length > max_steps:
-                return self._run_stepwise(regs, memory, pc, steps, cycles)
-            cycles += block_cost[pc]
-            steps += length
-            pc = blocks[pc](regs, memory)
-            if pc < 0:
-                return MachineResult(regs[0], steps, cycles)
+    def run(self, memory: Memory, registers: dict[int, int] | None = None,
+            cycle_budget: int | None = None) -> MachineResult:
+        """Execute once against ``memory``; registers start zeroed.
 
-    def run_budgeted(self, memory: Memory,
-                     registers: dict[int, int] | None = None,
-                     cycle_budget: int = 1_000_000) -> MachineResult:
-        """Like :meth:`run`, but raise :class:`BudgetExceeded` as soon as
-        the modeled cycle clock passes ``cycle_budget``.
-
-        The check runs at block granularity (one comparison per block, so
-        the fast path stays fast); an invocation that completes within
-        budget returns a result bit-identical to :meth:`run`.  Overruns
-        are detected when a block's decode-time cycle charge pushes the
-        clock past the budget — before the block executes, so a runaway
-        loop is cut off within one block of the budget line.  The
-        step-limit backstop still applies, for cost models that charge
-        zero cycles.
+        With a ``cycle_budget``, raise :class:`BudgetExceeded` as soon as
+        the modeled cycle clock passes it.  The check runs at block
+        granularity — before the block executes, so a runaway loop is
+        cut off within one block of the budget line — and a run that
+        completes within budget returns the same result as an unbudgeted
+        one.  The step-limit backstop still applies, for cost models that
+        charge zero cycles.
         """
         regs = [0] * NUM_REGS
         if registers:
             for index, value in registers.items():
                 regs[index] = value & WORD_MASK
-        code = self._code
-        blocks = code.blocks
-        block_len = code.block_len
-        block_cost = code.block_cost
-        max_steps = self.max_steps
-        pc = 0
-        steps = 0
-        cycles = 0
-        while True:
-            if steps >= max_steps:
-                raise MachineError(
-                    f"exceeded {max_steps} steps (runaway program?)")
-            length = block_len[pc]
-            if steps + length > max_steps:
-                return self._run_stepwise(regs, memory, pc, steps, cycles,
-                                          cycle_budget)
-            cycles += block_cost[pc]
-            if cycles > cycle_budget:
-                raise BudgetExceeded(
-                    f"exceeded cycle budget {cycle_budget} "
-                    f"({cycles} cycles after {steps} steps)",
-                    budget=cycle_budget, cycles=cycles, steps=steps)
-            steps += length
-            pc = blocks[pc](regs, memory)
-            if pc < 0:
-                return MachineResult(regs[0], steps, cycles)
+        return self._execute(self._code.blocks, regs, memory, 0, 0, 0,
+                             cycle_budget)
 
     def run_batch(self, memory: Memory, rebind, frames: list,
                   registers_fn, start: int = 0,
@@ -273,8 +241,7 @@ class ExecutionEngine:
         :func:`~repro.filters.policy.filter_registers` contracts: before
         each invocation the packet region is rebound to the frame bytes
         and a fresh entry-register dict is built from the frame length.
-        Each invocation is bit-identical to :meth:`run` (or
-        :meth:`run_budgeted` when ``cycle_budget`` is set) on a freshly
+        Each invocation is bit-identical to :meth:`run` on a freshly
         rebound memory — the block loop below is the same loop with the
         same check ordering, merely hoisted inside the frame loop.
 
@@ -288,10 +255,10 @@ class ExecutionEngine:
         ``next_index + 1`` after accounting the fault, which reproduces
         the serial per-frame dispatch protocol exactly.
         """
-        code = self._code
-        blocks = code.blocks
-        block_len = code.block_len
-        block_cost = code.block_cost
+        code = self._code.blocks
+        blocks = code.run
+        block_len = code.length
+        block_cost = code.cost
         max_steps = self.max_steps
         accepted = 0
         hist: dict[int, int] = {}
@@ -313,8 +280,9 @@ class ExecutionEngine:
                             f"(runaway program?)")
                     length = block_len[pc]
                     if steps + length > max_steps:
-                        result = self._run_stepwise(
-                            regs, memory, pc, steps, cycles, cycle_budget)
+                        result = self._execute(
+                            self._code.steps(), regs, memory, pc, steps,
+                            cycles, cycle_budget)
                         break
                     cycles += block_cost[pc]
                     if (cycle_budget is not None
@@ -335,33 +303,38 @@ class ExecutionEngine:
             return index, accepted, list(hist.items()), error
         return len(frames), accepted, list(hist.items()), None
 
-    def run_budgeted_batch(self, memory: Memory, rebind, frames: list,
-                           registers_fn, start: int = 0,
-                           cycle_budget: int = 1_000_000):
-        """Budgeted spelling of :meth:`run_batch` (same return shape)."""
-        return self.run_batch(memory, rebind, frames, registers_fn,
-                              start, cycle_budget)
+    def _execute(self, code: CodeTable, regs: list, memory: Memory,
+                 pc: int, steps: int, cycles: int,
+                 cycle_budget: int | None) -> MachineResult:
+        """The run loop over ``code`` from ``pc``.
 
-    def _run_stepwise(self, regs: list, memory: Memory, pc: int,
-                      steps: int, cycles: int,
-                      cycle_budget: int | None = None) -> MachineResult:
-        """Per-instruction execution for the last block before the step
-        limit; at most ``max_steps - steps`` instructions run here."""
-        ops = self._ops
-        costs = self._costs
+        The step-limit check guards every entry.  An entry that would
+        cross the limit hands over to the single-instruction table,
+        reproducing the reference machine's check ordering exactly (a
+        block never crosses the limit silently, and errors raised before
+        the limit still win).  On that table every entry is at most one
+        instruction long, so the hand-over never recurses further.
+        """
+        blocks = code.run
+        block_len = code.length
+        block_cost = code.cost
         max_steps = self.max_steps
         while True:
             if steps >= max_steps:
                 raise MachineError(
                     f"exceeded {max_steps} steps (runaway program?)")
-            cycles += costs[pc]
+            length = block_len[pc]
+            if steps + length > max_steps:
+                return self._execute(self._code.steps(), regs, memory, pc,
+                                     steps, cycles, cycle_budget)
+            cycles += block_cost[pc]
             if cycle_budget is not None and cycles > cycle_budget:
                 raise BudgetExceeded(
                     f"exceeded cycle budget {cycle_budget} "
                     f"({cycles} cycles after {steps} steps)",
                     budget=cycle_budget, cycles=cycles, steps=steps)
-            steps += 1
-            pc = ops[pc](regs, memory)
+            steps += length
+            pc = blocks[pc](regs, memory)
             if pc < 0:
                 return MachineResult(regs[0], steps, cycles)
 
@@ -375,309 +348,7 @@ def run_program(program: Program, memory: Memory,
 
 
 # ---------------------------------------------------------------------------
-# Translation.
-
-def _translate(program: Program, cost_model,
-               check_read: CheckHook | None,
-               check_write: CheckHook | None,
-               ) -> tuple[list[Op], list[int], dict[int, int]]:
-    size = len(program)
-    ops: list[Op] = [None] * size  # type: ignore[list-item]
-    costs: list[int] = [0] * size
-    traps: dict[int, int] = {}     # bad target pc -> trap slot
-
-    def resolve(target: int) -> int:
-        """A successor pc, or a trap slot raising the reference error."""
-        if 0 <= target < size:
-            return target
-        slot = traps.get(target)
-        if slot is None:
-            slot = len(ops)
-            ops.append(_make_pc_trap(target))
-            costs.append(0)
-            traps[target] = slot
-        return slot
-
-    if size == 0:
-        # The reference machine rejects pc=0 before fetching anything.
-        return [_make_pc_trap(0)], [0], {0: 0}
-
-    for pc, instruction in enumerate(program):
-        costs[pc] = cost_model.cycles(instruction) if cost_model else 1
-        nxt = resolve(pc + 1)
-        if isinstance(instruction, Operate):
-            ops[pc] = _make_operate(instruction, nxt)
-        elif isinstance(instruction, Ldq):
-            ops[pc] = _make_ldq(instruction, nxt, pc, check_read)
-        elif isinstance(instruction, Stq):
-            ops[pc] = _make_stq(instruction, nxt, pc, check_write)
-        elif isinstance(instruction, Lda):
-            ops[pc] = _make_lda(instruction, nxt)
-        elif isinstance(instruction, Ldah):
-            ops[pc] = _make_ldah(instruction, nxt)
-        elif isinstance(instruction, Branch):
-            ops[pc] = _make_branch(instruction,
-                                   resolve(pc + 1 + instruction.offset), nxt)
-        elif isinstance(instruction, Br):
-            target = resolve(pc + 1 + instruction.offset)
-            ops[pc] = _make_br(target)
-        elif isinstance(instruction, Ret):
-            ops[pc] = _ret_op
-        else:  # pragma: no cover - exhaustive over Instruction
-            ops[pc] = _make_execute_trap(instruction)
-    return ops, costs, traps
-
-
-def _ret_op(regs: list, memory: Memory) -> int:
-    return _RET
-
-
-def _make_pc_trap(target: int) -> Op:
-    def op(regs: list, memory: Memory) -> int:
-        raise MachineError(f"pc {target} outside program")
-    return op
-
-
-def _make_execute_trap(instruction: Instruction) -> Op:  # pragma: no cover
-    def op(regs: list, memory: Memory) -> int:
-        raise MachineError(f"cannot execute {instruction!r}")
-    return op
-
-
-def _make_operate(instruction: Operate, nxt: int) -> Op:
-    """Specialize one ALU instruction; literals are folded at decode."""
-    name = instruction.name
-    a = instruction.ra.index
-    c = instruction.rc.index
-    if isinstance(instruction.rb, Lit):
-        k = instruction.rb.value
-        if name == "ADDQ":
-            def op(regs, memory):
-                regs[c] = (regs[a] + k) & WORD_MASK
-                return nxt
-        elif name == "SUBQ":
-            def op(regs, memory):
-                regs[c] = (regs[a] - k) & WORD_MASK
-                return nxt
-        elif name == "MULQ":
-            def op(regs, memory):
-                regs[c] = (regs[a] * k) & WORD_MASK
-                return nxt
-        elif name == "AND":
-            def op(regs, memory):
-                regs[c] = regs[a] & k
-                return nxt
-        elif name == "BIS":
-            def op(regs, memory):
-                regs[c] = regs[a] | k
-                return nxt
-        elif name == "XOR":
-            def op(regs, memory):
-                regs[c] = regs[a] ^ k
-                return nxt
-        elif name == "SLL":
-            shift = k & 63
-
-            def op(regs, memory):
-                regs[c] = (regs[a] << shift) & WORD_MASK
-                return nxt
-        elif name == "SRL":
-            shift = k & 63
-
-            def op(regs, memory):
-                regs[c] = regs[a] >> shift
-                return nxt
-        elif name == "CMPEQ":
-            def op(regs, memory):
-                regs[c] = 1 if regs[a] == k else 0
-                return nxt
-        elif name == "CMPULT":
-            def op(regs, memory):
-                regs[c] = 1 if regs[a] < k else 0
-                return nxt
-        elif name == "CMPULE":
-            def op(regs, memory):
-                regs[c] = 1 if regs[a] <= k else 0
-                return nxt
-        elif name == "EXTBL":
-            shift = 8 * (k & 7)
-
-            def op(regs, memory):
-                regs[c] = (regs[a] >> shift) & 0xFF
-                return nxt
-        elif name == "EXTWL":
-            shift = 8 * (k & 7)
-
-            def op(regs, memory):
-                regs[c] = (regs[a] >> shift) & 0xFFFF
-                return nxt
-        elif name == "EXTLL":
-            shift = 8 * (k & 7)
-
-            def op(regs, memory):
-                regs[c] = (regs[a] >> shift) & 0xFFFFFFFF
-                return nxt
-        else:  # pragma: no cover - Operate.__post_init__ rejects these
-            raise MachineError(f"unknown operate {name!r}")
-        return op
-
-    b = instruction.rb.index
-    if name == "ADDQ":
-        def op(regs, memory):
-            regs[c] = (regs[a] + regs[b]) & WORD_MASK
-            return nxt
-    elif name == "SUBQ":
-        def op(regs, memory):
-            regs[c] = (regs[a] - regs[b]) & WORD_MASK
-            return nxt
-    elif name == "MULQ":
-        def op(regs, memory):
-            regs[c] = (regs[a] * regs[b]) & WORD_MASK
-            return nxt
-    elif name == "AND":
-        def op(regs, memory):
-            regs[c] = regs[a] & regs[b]
-            return nxt
-    elif name == "BIS":
-        def op(regs, memory):
-            regs[c] = regs[a] | regs[b]
-            return nxt
-    elif name == "XOR":
-        def op(regs, memory):
-            regs[c] = regs[a] ^ regs[b]
-            return nxt
-    elif name == "SLL":
-        def op(regs, memory):
-            regs[c] = (regs[a] << (regs[b] & 63)) & WORD_MASK
-            return nxt
-    elif name == "SRL":
-        def op(regs, memory):
-            regs[c] = regs[a] >> (regs[b] & 63)
-            return nxt
-    elif name == "CMPEQ":
-        def op(regs, memory):
-            regs[c] = 1 if regs[a] == regs[b] else 0
-            return nxt
-    elif name == "CMPULT":
-        def op(regs, memory):
-            regs[c] = 1 if regs[a] < regs[b] else 0
-            return nxt
-    elif name == "CMPULE":
-        def op(regs, memory):
-            regs[c] = 1 if regs[a] <= regs[b] else 0
-            return nxt
-    elif name == "EXTBL":
-        def op(regs, memory):
-            regs[c] = (regs[a] >> (8 * (regs[b] & 7))) & 0xFF
-            return nxt
-    elif name == "EXTWL":
-        def op(regs, memory):
-            regs[c] = (regs[a] >> (8 * (regs[b] & 7))) & 0xFFFF
-            return nxt
-    elif name == "EXTLL":
-        def op(regs, memory):
-            regs[c] = (regs[a] >> (8 * (regs[b] & 7))) & 0xFFFFFFFF
-            return nxt
-    else:  # pragma: no cover - Operate.__post_init__ rejects these
-        raise MachineError(f"unknown operate {name!r}")
-    return op
-
-
-def _make_ldq(instruction: Ldq, nxt: int, pc: int,
-              check_read: CheckHook | None) -> Op:
-    d = instruction.rd.index
-    s = instruction.rs.index
-    disp = _sext16(instruction.disp)
-    if check_read is None:
-        def op(regs, memory):
-            regs[d] = memory.load_quad((regs[s] + disp) & WORD_MASK)
-            return nxt
-    else:
-        def op(regs, memory):
-            address = (regs[s] + disp) & WORD_MASK
-            check_read(address, pc)
-            regs[d] = memory.load_quad(address)
-            return nxt
-    return op
-
-
-def _make_stq(instruction: Stq, nxt: int, pc: int,
-              check_write: CheckHook | None) -> Op:
-    s = instruction.rs.index
-    d = instruction.rd.index
-    disp = _sext16(instruction.disp)
-    if check_write is None:
-        def op(regs, memory):
-            memory.store_quad((regs[d] + disp) & WORD_MASK, regs[s])
-            return nxt
-    else:
-        def op(regs, memory):
-            address = (regs[d] + disp) & WORD_MASK
-            check_write(address, pc)
-            memory.store_quad(address, regs[s])
-            return nxt
-    return op
-
-
-def _make_lda(instruction: Lda, nxt: int) -> Op:
-    d = instruction.rd.index
-    s = instruction.rs.index
-    disp = _sext16(instruction.disp)
-
-    def op(regs, memory):
-        regs[d] = (regs[s] + disp) & WORD_MASK
-        return nxt
-    return op
-
-
-def _make_ldah(instruction: Ldah, nxt: int) -> Op:
-    d = instruction.rd.index
-    s = instruction.rs.index
-    disp = _sext16(instruction.disp) << 16
-
-    def op(regs, memory):
-        regs[d] = (regs[s] + disp) & WORD_MASK
-        return nxt
-    return op
-
-
-def _make_br(target: int) -> Op:
-    def op(regs, memory):
-        return target
-    return op
-
-
-def _make_branch(instruction: Branch, taken: int, fallthrough: int) -> Op:
-    """Branch predicates on the unsigned register image: a value is
-    signed-negative exactly when it is >= 2^63."""
-    name = instruction.name
-    s = instruction.rs.index
-    if name == "BEQ":
-        def op(regs, memory):
-            return taken if regs[s] == 0 else fallthrough
-    elif name == "BNE":
-        def op(regs, memory):
-            return taken if regs[s] != 0 else fallthrough
-    elif name == "BGE":
-        def op(regs, memory):
-            return taken if regs[s] < _SIGN_BIT else fallthrough
-    elif name == "BLT":
-        def op(regs, memory):
-            return taken if regs[s] >= _SIGN_BIT else fallthrough
-    elif name == "BGT":
-        def op(regs, memory):
-            return taken if 0 < regs[s] < _SIGN_BIT else fallthrough
-    elif name == "BLE":
-        def op(regs, memory):
-            value = regs[s]
-            return taken if value >= _SIGN_BIT or value == 0 else fallthrough
-    else:  # pragma: no cover - Branch.__post_init__ rejects these
-        raise MachineError(f"unknown branch {name!r}")
-    return op
-
-
-# ---------------------------------------------------------------------------
-# Basic-block superinstructions.
+# Block code generation.
 #
 # Every pc reachable from *outside* a block is a leader: pc 0, every
 # branch target, and the fall-through successor of every conditional
@@ -689,19 +360,34 @@ def _make_branch(instruction: Branch, taken: int, fallthrough: int) -> Op:
 # exception discards it.  Instructions execute in program order inside
 # the block, so error sites, messages and ordering match the reference.
 
-_M = str(WORD_MASK)
-_S = str(_SIGN_BIT)
 
-_KNOWN_INSTRUCTIONS = (Operate, Ldq, Stq, Lda, Ldah, Branch, Br, Ret)
+def block_leaders(program: Program) -> set[int]:
+    """The pcs at which the engine's basic blocks start."""
+    size = len(program)
+    leaders = {0} if size else set()
+    for pc, instruction in enumerate(program):
+        if isinstance(instruction, (Branch, Br)):
+            target = pc + 1 + instruction.offset
+            if 0 <= target < size:
+                leaders.add(target)
+            if isinstance(instruction, Branch) and pc + 1 < size:
+                leaders.add(pc + 1)
+    return leaders
 
-_BRANCH_CONDITIONS = {
-    "BEQ": "{s} == 0",
-    "BNE": "{s} != 0",
-    "BGE": "{s} < " + _S,
-    "BLT": "{s} >= " + _S,
-    "BGT": "0 < {s} < " + _S,
-    "BLE": "{s} >= " + _S + " or {s} == 0",
-}
+
+def _trap_slots(program: Program) -> dict[int, int]:
+    """Every successor pc outside the program, mapped to its trap slot
+    (an index past the end of the code table)."""
+    size = len(program)
+    bad = set() if size else {0}  # the reference rejects pc 0 of nothing
+    for pc, instruction in enumerate(program):
+        if isinstance(instruction, (Branch, Br)):
+            target = pc + 1 + instruction.offset
+            if not 0 <= target < size:
+                bad.add(target)
+        if pc + 1 == size and not isinstance(instruction, (Br, Ret)):
+            bad.add(size)       # falls off the end
+    return {target: size + slot for slot, target in enumerate(sorted(bad))}
 
 
 class _BlockAssembler:
@@ -742,73 +428,14 @@ def _address_expr(asm: _BlockAssembler, base_index: int, disp: int) -> str:
     if disp == 0:
         # Register values are invariantly < 2^64, so (r + 0) & MASK == r.
         return base
-    return f"({base} + {disp}) & {_M}"
+    return f"({base} + {disp}) & {WORD_MASK}"
 
 
 def _operate_expr(asm: _BlockAssembler, instruction: Operate) -> str:
-    name = instruction.name
     a = asm.use(instruction.ra.index)
-    if isinstance(instruction.rb, Lit):
-        k = instruction.rb.value
-        if name == "ADDQ":
-            return f"({a} + {k}) & {_M}"
-        if name == "SUBQ":
-            return f"({a} - {k}) & {_M}"
-        if name == "MULQ":
-            return f"({a} * {k}) & {_M}"
-        if name == "AND":
-            return f"{a} & {k}"
-        if name == "BIS":
-            return f"{a} | {k}"
-        if name == "XOR":
-            return f"{a} ^ {k}"
-        if name == "SLL":
-            return f"({a} << {k & 63}) & {_M}"
-        if name == "SRL":
-            return f"{a} >> {k & 63}"
-        if name == "CMPEQ":
-            return f"1 if {a} == {k} else 0"
-        if name == "CMPULT":
-            return f"1 if {a} < {k} else 0"
-        if name == "CMPULE":
-            return f"1 if {a} <= {k} else 0"
-        if name == "EXTBL":
-            return f"({a} >> {8 * (k & 7)}) & 0xFF"
-        if name == "EXTWL":
-            return f"({a} >> {8 * (k & 7)}) & 0xFFFF"
-        if name == "EXTLL":
-            return f"({a} >> {8 * (k & 7)}) & 0xFFFFFFFF"
-        raise MachineError(f"unknown operate {name!r}")  # pragma: no cover
-    b = asm.use(instruction.rb.index)
-    if name == "ADDQ":
-        return f"({a} + {b}) & {_M}"
-    if name == "SUBQ":
-        return f"({a} - {b}) & {_M}"
-    if name == "MULQ":
-        return f"({a} * {b}) & {_M}"
-    if name == "AND":
-        return f"{a} & {b}"
-    if name == "BIS":
-        return f"{a} | {b}"
-    if name == "XOR":
-        return f"{a} ^ {b}"
-    if name == "SLL":
-        return f"({a} << ({b} & 63)) & {_M}"
-    if name == "SRL":
-        return f"{a} >> ({b} & 63)"
-    if name == "CMPEQ":
-        return f"1 if {a} == {b} else 0"
-    if name == "CMPULT":
-        return f"1 if {a} < {b} else 0"
-    if name == "CMPULE":
-        return f"1 if {a} <= {b} else 0"
-    if name == "EXTBL":
-        return f"({a} >> (8 * ({b} & 7))) & 0xFF"
-    if name == "EXTWL":
-        return f"({a} >> (8 * ({b} & 7))) & 0xFFFF"
-    if name == "EXTLL":
-        return f"({a} >> (8 * ({b} & 7))) & 0xFFFFFFFF"
-    raise MachineError(f"unknown operate {name!r}")  # pragma: no cover
+    rb = instruction.rb
+    b = str(rb.value) if isinstance(rb, Lit) else asm.use(rb.index)
+    return OPERATES[instruction.name].template.format(a=a, b=b)
 
 
 def _emit_straightline(asm: _BlockAssembler, instruction: Instruction,
@@ -856,7 +483,7 @@ def _block_source(program: Program, leader: int, leaders: set[int],
             target = pc + 1 + instruction.offset
             taken = target if 0 <= target < size else traps[target]
             fall = pc + 1 if pc + 1 < size else traps[size]
-            condition = _BRANCH_CONDITIONS[instruction.name].format(
+            condition = BRANCHES[instruction.name].template.format(
                 s=asm.use(instruction.rs.index))
             asm.flush()
             asm.line(f"return {taken} if {condition} else {fall}")
@@ -883,58 +510,3 @@ def _block_source(program: Program, leader: int, leaders: set[int],
             asm.flush()
             asm.line(f"return {pc}")
             return asm.render(), pc - leader
-
-
-def _compile_blocks(program: Program, ops: list[Op], costs: list[int],
-                    traps: dict[int, int],
-                    check_read: CheckHook | None,
-                    check_write: CheckHook | None,
-                    ) -> tuple[list, list[int], list[int]]:
-    size = len(program)
-    blocks: list = [None] * len(ops)
-    block_len = [0] * len(ops)
-    block_cost = [0] * len(ops)
-    # Trap slots become zero-length "blocks": the run loop's step check
-    # still runs first, then the trap raises — the reference's ordering.
-    for slot in traps.values():
-        blocks[slot] = ops[slot]
-    if size == 0:
-        return blocks, block_len, block_cost
-
-    leaders = {0}
-    for pc, instruction in enumerate(program):
-        if isinstance(instruction, Branch):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-            if pc + 1 < size:
-                leaders.add(pc + 1)
-        elif isinstance(instruction, Br):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-        elif not isinstance(instruction, _KNOWN_INSTRUCTIONS):
-            leaders.add(pc)  # pragma: no cover - Instruction is closed
-
-    sources = []
-    for leader in sorted(leaders):
-        if not isinstance(program[leader], _KNOWN_INSTRUCTIONS):
-            # pragma: no cover - degenerate block over the raising closure
-            blocks[leader] = ops[leader]
-            block_len[leader] = 1
-            block_cost[leader] = costs[leader]
-            continue
-        body, length = _block_source(program, leader, leaders, traps,
-                                     check_read is not None,
-                                     check_write is not None)
-        sources.append((leader, body))
-        block_len[leader] = length
-        block_cost[leader] = sum(costs[leader:leader + length])
-
-    namespace = {"check_read": check_read, "check_write": check_write}
-    source = "\n".join(f"def _b{leader}(regs, memory):\n{body}"
-                       for leader, body in sources)
-    exec(compile(source, "<alpha-blocks>", "exec"), namespace)
-    for leader, _ in sources:
-        blocks[leader] = namespace[f"_b{leader}"]
-    return blocks, block_len, block_cost

@@ -28,35 +28,106 @@ Instruction kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from repro.errors import AssemblyError
 
 #: The paper's 11 temporary registers, r0 .. r10.
 NUM_REGS = 11
 
+#: 64-bit word arithmetic: register values are unsigned images < 2^64.
+WORD_MASK = (1 << 64) - 1
+#: A word is signed-negative exactly when this bit is set.
+SIGN_BIT = 1 << 63
+
+
+class OperateSemantics(NamedTuple):
+    """One operate opcode's semantics, once for each of its consumers.
+
+    ``logic`` names the :mod:`repro.logic.terms` operator the VC
+    generator uses; ``apply`` is the reference function on 64-bit words
+    (the :class:`~repro.alpha.machine.Machine` calls it); ``template`` is
+    the same function as a Python expression over ``{a}`` and ``{b}``,
+    which the engine's block emitter formats with register locals or a
+    literal (CPython folds the constant subexpressions a literal makes).
+    """
+
+    logic: str
+    apply: Callable[[int, int], int]
+    template: str
+
+
+class BranchSemantics(NamedTuple):
+    """One conditional branch's "taken" predicate: a reference function
+    of the register's unsigned image and the same test as a Python
+    expression over ``{s}``.  BGE/BLT/BGT/BLE test the *signed* value of
+    the register, i.e. its two's-complement interpretation."""
+
+    taken: Callable[[int], bool]
+    template: str
+
+
+#: The operate instructions.  The order is fixed: seeded random-program
+#: generators draw from ``tuple(OPERATE_NAMES)``.
+OPERATES: dict[str, OperateSemantics] = {
+    "ADDQ": OperateSemantics(
+        "add64", lambda a, b: (a + b) & WORD_MASK,
+        "({a} + {b}) & 0xFFFFFFFFFFFFFFFF"),
+    "SUBQ": OperateSemantics(
+        "sub64", lambda a, b: (a - b) & WORD_MASK,
+        "({a} - {b}) & 0xFFFFFFFFFFFFFFFF"),
+    "MULQ": OperateSemantics(
+        "mul64", lambda a, b: (a * b) & WORD_MASK,
+        "({a} * {b}) & 0xFFFFFFFFFFFFFFFF"),
+    "AND": OperateSemantics("and64", lambda a, b: a & b, "{a} & {b}"),
+    # BIS is Alpha's name for OR.
+    "BIS": OperateSemantics("or64", lambda a, b: a | b, "{a} | {b}"),
+    "XOR": OperateSemantics("xor64", lambda a, b: a ^ b, "{a} ^ {b}"),
+    "SLL": OperateSemantics(
+        "sll64", lambda a, b: (a << (b & 63)) & WORD_MASK,
+        "({a} << ({b} & 63)) & 0xFFFFFFFFFFFFFFFF"),
+    "SRL": OperateSemantics(
+        "srl64", lambda a, b: a >> (b & 63), "{a} >> ({b} & 63)"),
+    "CMPEQ": OperateSemantics(
+        "cmpeq", lambda a, b: 1 if a == b else 0, "1 if {a} == {b} else 0"),
+    "CMPULT": OperateSemantics(
+        "cmpult", lambda a, b: 1 if a < b else 0, "1 if {a} < {b} else 0"),
+    "CMPULE": OperateSemantics(
+        "cmpule", lambda a, b: 1 if a <= b else 0,
+        "1 if {a} <= {b} else 0"),
+    "EXTBL": OperateSemantics(
+        "extbl", lambda a, b: (a >> (8 * (b & 7))) & 0xFF,
+        "({a} >> (8 * ({b} & 7))) & 0xFF"),
+    "EXTWL": OperateSemantics(
+        "extwl", lambda a, b: (a >> (8 * (b & 7))) & 0xFFFF,
+        "({a} >> (8 * ({b} & 7))) & 0xFFFF"),
+    "EXTLL": OperateSemantics(
+        "extll", lambda a, b: (a >> (8 * (b & 7))) & 0xFFFFFFFF,
+        "({a} >> (8 * ({b} & 7))) & 0xFFFFFFFF"),
+}
+
+#: The conditional branches.  The reference functions test the sign bit;
+#: the templates compare the unsigned image against 2^63 instead.
+BRANCHES: dict[str, BranchSemantics] = {
+    "BEQ": BranchSemantics(lambda v: v == 0, "{s} == 0"),
+    "BNE": BranchSemantics(lambda v: v != 0, "{s} != 0"),
+    "BGE": BranchSemantics(lambda v: not v & SIGN_BIT,
+                           "{s} < 0x8000000000000000"),
+    "BLT": BranchSemantics(lambda v: bool(v & SIGN_BIT),
+                           "{s} >= 0x8000000000000000"),
+    "BGT": BranchSemantics(lambda v: not v & SIGN_BIT and v != 0,
+                           "0 < {s} < 0x8000000000000000"),
+    "BLE": BranchSemantics(lambda v: bool(v & SIGN_BIT) or v == 0,
+                           "{s} >= 0x8000000000000000 or {s} == 0"),
+}
+
 #: Value-producing operate instructions and the logic operator that gives
 #: their semantics (see :mod:`repro.logic.terms`).
 OPERATE_NAMES: dict[str, str] = {
-    "ADDQ": "add64",
-    "SUBQ": "sub64",
-    "MULQ": "mul64",
-    "AND": "and64",
-    "BIS": "or64",   # Alpha's name for OR
-    "XOR": "xor64",
-    "SLL": "sll64",
-    "SRL": "srl64",
-    "CMPEQ": "cmpeq",
-    "CMPULT": "cmpult",
-    "CMPULE": "cmpule",
-    "EXTBL": "extbl",
-    "EXTWL": "extwl",
-    "EXTLL": "extll",
-}
+    name: row.logic for name, row in OPERATES.items()}
 
-#: Conditional branch mnemonics.  BGE/BLT/BGT/BLE test the *signed* value
-#: of the register, i.e. its two's-complement interpretation.
-BRANCH_NAMES = ("BEQ", "BNE", "BGE", "BLT", "BGT", "BLE")
+#: Conditional branch mnemonics.
+BRANCH_NAMES = tuple(BRANCHES)
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,10 +21,12 @@ import struct
 from dataclasses import dataclass
 
 from repro.alpha.isa import (
+    BRANCHES,
     NUM_REGS,
+    OPERATES,
+    WORD_MASK,
     Br,
     Branch,
-    Instruction,
     Lda,
     Ldah,
     Ldq,
@@ -35,9 +37,6 @@ from repro.alpha.isa import (
     Stq,
 )
 from repro.errors import MachineError
-
-WORD_MASK = (1 << 64) - 1
-_SIGN_BIT = 1 << 63
 
 _unpack_from = struct.unpack_from
 _pack_into = struct.pack_into
@@ -198,7 +197,7 @@ class Machine:
         #: snapshot of the register file — the differential soundness
         #: suite checks every traced state against the static analyzer's
         #: intervals.  The concrete machine is the slow reference path,
-        #: so the per-step None check is acceptable here (the threaded
+        #: so the per-step None check is acceptable here (the compiled
         #: engine, the hot path, has no such hook).
         self.trace_hook = trace_hook
 
@@ -239,7 +238,8 @@ class Machine:
                     b = instruction.rb.value
                 else:
                     b = regs[instruction.rb.index]
-                regs[instruction.rc.index] = _operate(instruction.name, a, b)
+                regs[instruction.rc.index] = OPERATES[
+                    instruction.name].apply(a, b)
                 pc += 1
             elif isinstance(instruction, Ldq):
                 address = (regs[instruction.rs.index]
@@ -264,8 +264,8 @@ class Machine:
                     + (_sext16(instruction.disp) << 16)) & WORD_MASK
                 pc += 1
             elif isinstance(instruction, Branch):
-                if _branch_taken(instruction.name,
-                                 regs[instruction.rs.index]):
+                if BRANCHES[instruction.name].taken(
+                        regs[instruction.rs.index]):
                     pc = pc + 1 + instruction.offset
                 else:
                     pc += 1
@@ -276,53 +276,3 @@ class Machine:
             else:  # pragma: no cover - exhaustive over Instruction
                 raise MachineError(f"cannot execute {instruction!r}")
 
-
-def _operate(name: str, a: int, b: int) -> int:
-    """Semantics of the operate instructions on 64-bit words."""
-    if name == "ADDQ":
-        return (a + b) & WORD_MASK
-    if name == "SUBQ":
-        return (a - b) & WORD_MASK
-    if name == "MULQ":
-        return (a * b) & WORD_MASK
-    if name == "AND":
-        return a & b
-    if name == "BIS":
-        return a | b
-    if name == "XOR":
-        return a ^ b
-    if name == "SLL":
-        return (a << (b & 63)) & WORD_MASK
-    if name == "SRL":
-        return a >> (b & 63)
-    if name == "CMPEQ":
-        return 1 if a == b else 0
-    if name == "CMPULT":
-        return 1 if a < b else 0
-    if name == "CMPULE":
-        return 1 if a <= b else 0
-    if name == "EXTBL":
-        return (a >> (8 * (b & 7))) & 0xFF
-    if name == "EXTWL":
-        return (a >> (8 * (b & 7))) & 0xFFFF
-    if name == "EXTLL":
-        return (a >> (8 * (b & 7))) & 0xFFFFFFFF
-    raise MachineError(f"unknown operate {name!r}")  # pragma: no cover
-
-
-def _branch_taken(name: str, value: int) -> bool:
-    """Branch predicates; BGE/BLT/BGT/BLE test the signed interpretation."""
-    signed_negative = bool(value & _SIGN_BIT)
-    if name == "BEQ":
-        return value == 0
-    if name == "BNE":
-        return value != 0
-    if name == "BGE":
-        return not signed_negative
-    if name == "BLT":
-        return signed_negative
-    if name == "BGT":
-        return not signed_negative and value != 0
-    if name == "BLE":
-        return signed_negative or value == 0
-    raise MachineError(f"unknown branch {name!r}")  # pragma: no cover

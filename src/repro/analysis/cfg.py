@@ -8,7 +8,7 @@ program: malformed control flow (branches out of the code region,
 fall-through past the last instruction) is recorded as explicit fault
 exits so that the downstream passes (intervals, WCET, lint) can reason
 about exactly what the hardware would do — the concrete machine raises
-:class:`~repro.errors.MachineError` at those points, and the threaded
+:class:`~repro.errors.MachineError` at those points, and the compiled
 engine compiles them to trap slots.
 
 Recovery follows the textbook recipe:

@@ -11,7 +11,7 @@ half-ranges: ``signed >= 0`` is ``[0, 2**63 - 1]`` and ``signed < 0`` is
 ``[2**63, 2**64 - 1]``, so no separate signed domain is needed.
 
 Soundness discipline — every transfer function over-approximates the
-concrete operator in :func:`repro.alpha.machine._operate`:
+concrete operator in :data:`repro.alpha.isa.OPERATES`:
 
 * wrap-around arithmetic (``ADDQ``/``SUBQ``/``LDA``/``LDAH``) maps the
   exact unbounded-endpoint interval through ``mod 2**64``; if the image
@@ -152,7 +152,8 @@ def _extract(a: Interval, b: Interval, width_mask: int) -> Interval:
 
 
 def operate_interval(name: str, a: Interval, b: Interval) -> Interval:
-    """Abstract counterpart of :func:`repro.alpha.machine._operate`."""
+    """Abstract counterpart of ``OPERATES[name].apply``
+    (:data:`repro.alpha.isa.OPERATES`)."""
     if name == "ADDQ":
         return _wrap(a.lo + b.lo, a.hi + b.hi)
     if name == "SUBQ":

@@ -23,8 +23,8 @@ If round ``k`` proves the back edge infeasible, no execution traverses
 it ``k`` times, so the body runs at most ``k + 1`` times (``trips = k``
 extra passes beyond the one the acyclic path already counts).
 
-Soundness versus the execution engine's accounting: the threaded engine
-(and :meth:`ExecutionEngine.run_budgeted`) charges a whole basic block
+Soundness versus the execution engine's accounting: the compiled engine
+(budgeted or not, :meth:`ExecutionEngine.run`) charges a whole basic block
 before executing it, so observed cycles on any run — including runs that
 fault mid-block — never exceed the sum of full block costs along the
 executed path, which is exactly what this pass maximises.  Hence a

@@ -10,16 +10,15 @@ VM instruction (the fetch/decode/switch work of the OSF/1 C interpreter)
 plus a small extra charge for checked packet loads, making the interpreted
 baseline comparable with code running on the concrete Alpha model.
 
-Execution uses the same threaded-code technique as
-:mod:`repro.alpha.engine`: the program is decoded *once* at construction
-into a flat table of per-instruction closures (offsets, widths, masked
-immediates, and jump targets resolved at decode time).  The *modeled*
-cycle charges are untouched — the VM still pays ``dispatch_cycles`` per
-instruction and ``load_check_cycles`` per checked packet load; only the
-Python-side fetch/decode/switch work disappears.  Decode errors the old
-switch raised mid-run (bad LDX mode, bad ALU op, ...) compile to trap
-closures that raise the identical :class:`BpfRuntimeError` at the same
-execution point.
+Execution uses threaded code: the program is decoded *once* at
+construction into a flat table of per-instruction closures (offsets,
+widths, masked immediates, and jump targets resolved at decode time).
+The *modeled* cycle charges are untouched — the VM still pays
+``dispatch_cycles`` per instruction and ``load_check_cycles`` per
+checked packet load; only the Python-side fetch/decode/switch work
+disappears.  Decode errors the old switch raised mid-run (bad LDX mode,
+bad ALU op, ...) compile to trap closures that raise the identical
+:class:`BpfRuntimeError` at the same execution point.
 """
 
 from __future__ import annotations

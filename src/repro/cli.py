@@ -149,7 +149,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     kv_mode = args.policy == "kv-packet"
     config_kwargs = dict(
         shards=args.shards,
-        backend=args.backend,
         batch_size=args.batch_size,
         cycle_budget=args.budget,
         budget_slack=args.budget_slack,
@@ -220,8 +219,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     snapshot = runtime.snapshot()
     model = config.cost_model
     print(f"\nserved {report.packets} packets over {config.shards} "
-          f"shard(s), {report.backend} backend "
-          f"({report.contract_drops} contract drops)")
+          f"shard(s) ({report.contract_drops} contract drops)")
     print(f"  modeled:  {report.modeled_packets_per_second:,.0f} pkts/s "
           f"at {model.clock_mhz:.0f} MHz "
           f"({report.modeled_seconds * 1e3:.1f} ms)")
@@ -542,11 +540,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="replay the trace N times")
     p_serve.add_argument("--seed", type=int, default=19961028)
     p_serve.add_argument("--shards", type=int, default=4)
-    p_serve.add_argument("--backend", choices=("thread", "process"),
-                         default="thread",
-                         help="shard worker vehicle: in-process threads "
-                              "(default) or shared-nothing forked "
-                              "processes")
     p_serve.add_argument("--batch-size", type=int, default=8192,
                          help="frames per dispatch chunk on the batched "
                               "hot path")

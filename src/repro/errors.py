@@ -52,11 +52,12 @@ class SafetyViolation(MachineError):
 class BudgetExceeded(MachineError):
     """An invocation overran its per-packet cycle budget.
 
-    Raised by :meth:`repro.alpha.engine.ExecutionEngine.run_budgeted`
-    when the modeled cycle clock passes the caller's budget.  This is a
-    *liveness* policy, not a safety one: a PCC-certified program can
-    never violate rd()/wr(), but nothing in the proof bounds how long it
-    runs, so the dispatch runtime enforces budgets at retire time.
+    Raised by :meth:`repro.alpha.engine.ExecutionEngine.run` (given a
+    ``cycle_budget``) when the modeled cycle clock passes the caller's
+    budget.  This is a *liveness* policy, not a safety one: a
+    PCC-certified program can never violate rd()/wr(), but nothing in the
+    proof bounds how long it runs, so the dispatch runtime enforces
+    budgets at retire time.
     """
 
     def __init__(self, message: str, budget: int | None = None,

@@ -65,12 +65,12 @@ class LoadedExtension:
 
     def engine(self, cost_model=None,
                max_steps: int = 1_000_000) -> "ExecutionEngine":
-        """A reusable threaded-code engine over the validated program.
+        """A reusable compiled engine over the validated program.
 
         This is the handle the dispatch runtime (:mod:`repro.runtime`)
-        keeps per extension: translation is paid once (and shared via
+        keeps per extension: compilation is paid once (and shared via
         the engine's global code cache), after which every invocation is
-        the bare closure loop with zero checks.
+        the bare block loop with zero checks.
         """
         from repro.alpha.engine import ExecutionEngine
 

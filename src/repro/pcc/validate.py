@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.alpha.encoding import decode_program
@@ -40,6 +41,23 @@ from repro.vcgen.vcgen import safety_predicate
 #: timestamps, and a wall clock (``time.time``) stepping backwards under
 #: NTP adjustment would make those deltas negative.
 _CLOCK = time.perf_counter
+
+
+@contextmanager
+def _stage(rejection: str):
+    """Fail closed: an error raised by one validation stage rejects the
+    binary as a :class:`ValidationError` prefixed with ``rejection``.
+
+    That covers every :class:`PccError` of the decoders and checkers and
+    the :class:`RecursionError` a deeply nested term provokes in the
+    recursive LF walks.  A :class:`ValidationError` passes unchanged.
+    """
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (PccError, RecursionError) as error:
+        raise ValidationError(f"{rejection}: {error}") from error
 
 
 @dataclass(frozen=True)
@@ -75,36 +93,26 @@ def validate(data: bytes | PccBinary, policy: SafetyPolicy,
         if isinstance(data, PccBinary):
             binary = data
         else:
-            binary = PccBinary.from_bytes(data)
+            with _stage("container rejected"):
+                binary = PccBinary.from_bytes(data)
 
-        try:
+        with _stage("native code section rejected"):
             program = decode_program(binary.code)
-        except PccError as error:
-            raise ValidationError(
-                f"native code section rejected: {error}") from error
 
-        invariant_terms = unpack_invariants(binary.invariants)
-        try:
+        with _stage("invariant section rejected"):
+            invariant_terms = unpack_invariants(binary.invariants)
             invariants = {pc: decode_logic_formula(term)
                           for pc, term in invariant_terms.items()}
-        except PccError as error:
-            raise ValidationError(
-                f"invariant section rejected: {error}") from error
 
-        try:
+        with _stage("cannot compute safety predicate"):
             predicate = safety_predicate(program, policy.precondition,
                                          policy.postcondition, invariants)
-        except PccError as error:
-            raise ValidationError(
-                f"cannot compute safety predicate: {error}") from error
 
-        proof_term = unpack_proof(binary.relocation, binary.proof)
-        expected = LfApp(LfConst("pf"), encode_formula(predicate, {}, 0))
-        try:
+        with _stage("proof does not validate"):
+            proof_term = unpack_proof(binary.relocation, binary.proof)
+            expected = LfApp(LfConst("pf"),
+                             encode_formula(predicate, {}, 0))
             check_proof_term(proof_term, expected, SIGNATURE)
-        except PccError as error:
-            raise ValidationError(
-                f"proof does not validate: {error}") from error
     finally:
         if measure_memory:
             __, peak = tracemalloc.get_traced_memory()

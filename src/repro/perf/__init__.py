@@ -30,7 +30,6 @@ __all__ = [
     "ApproachResult",
     "FilterBenchmark",
     "run_figure8",
-    "run_table1",
     "run_approach",
     "APPROACHES",
     "AmortizationPoint",
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 _HARNESS_NAMES = ("ApproachResult", "FilterBenchmark", "run_figure8",
-                  "run_table1", "run_approach", "APPROACHES")
+                  "run_approach", "APPROACHES")
 
 
 def __getattr__(name: str):

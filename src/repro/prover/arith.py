@@ -7,9 +7,9 @@ they suggest is re-validated by the rule functions in
 
 from __future__ import annotations
 
-from repro.logic.formulas import Atom, Formula
+from repro.logic.formulas import Atom
 from repro.logic.pretty import pp_term
-from repro.logic.terms import App, Int, Term, Var, WORD_MOD, all_subterms
+from repro.logic.terms import App, Int, Term, Var, WORD_MOD
 from repro.proof.rules import _linear_form  # shared, deliberately
 
 #: Operators whose results always lie in [0, 2^64) (mirror of rules.py).
@@ -85,18 +85,6 @@ def linear_difference(term: Term, base: Term) -> Term | None:
         result = const_term if result is None else App(
             "add64", (result, const_term))
     return result
-
-
-def comparison_subterms(formula: Formula | None, *terms: Term) -> set[Term]:
-    """All subterms of the given atom arguments — the candidate set for
-    bound-lemma enrichment in the linear pipeline."""
-    found: set[Term] = set()
-    if isinstance(formula, Atom):
-        for arg in formula.args:
-            found.update(all_subterms(arg))
-    for term in terms:
-        found.update(all_subterms(term))
-    return found
 
 
 def is_linear_atom(atom: Atom) -> bool:

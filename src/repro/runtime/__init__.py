@@ -21,10 +21,6 @@ its supervised control plane:
 * :mod:`repro.runtime.chaos` — the fault-injection harness behind
   ``pcc chaos``: seeded faults at every layer, recovery invariants
   asserted (healthy verdict streams bit-identical under all faults);
-* :mod:`repro.runtime.backends` — shard execution backends for
-  :meth:`PacketRuntime.serve`: in-process threads or shared-nothing
-  forked worker processes with deterministic state merge — semantically
-  invisible either way;
 * :mod:`repro.runtime.shard` — one modeled core: private reusable
   memory, private cycle clock, the batched extension-major hot loop;
 * :mod:`repro.runtime.extension` — per-extension state machine
@@ -36,12 +32,6 @@ its supervised control plane:
   supervisor policy).
 """
 
-from repro.runtime.backends import (
-    ProcessBackend,
-    ShardBackend,
-    ThreadBackend,
-    get_backend,
-)
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.extension import ExtensionState, RuntimeExtension
 from repro.runtime.runtime import DispatchReport, PacketRuntime
@@ -54,7 +44,6 @@ from repro.runtime.supervisor import (
 )
 from repro.runtime.telemetry import (
     ExtensionSnapshot,
-    LatencyReservoir,
     RuntimeSnapshot,
     hist_percentile,
     percentile,
@@ -73,22 +62,17 @@ __all__ = [
     "ExtensionState",
     "IngressQueue",
     "InjectedCrash",
-    "LatencyReservoir",
     "PacketRuntime",
-    "ProcessBackend",
     "RuntimeConfig",
     "RuntimeExtension",
     "RuntimeSnapshot",
     "Shard",
-    "ShardBackend",
     "ShadowCanary",
     "ShardSupervisor",
     "SupervisorReport",
-    "ThreadBackend",
     "UpgradeRecord",
     "VersionState",
     "fault_reason",
-    "get_backend",
     "hist_percentile",
     "percentile",
 ]

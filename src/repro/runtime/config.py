@@ -23,17 +23,12 @@ from repro.runtime.versions import CanaryConfig
 class RuntimeConfig:
     """Knobs for :class:`repro.runtime.PacketRuntime`.
 
-    ``shards``            modeled cores (worker threads or processes in
-                          :meth:`serve`, per ``backend``)
-    ``backend``           how :meth:`serve` hosts its shard workers:
-                          ``"thread"`` (default; in-process, shares the
-                          GIL) or ``"process"`` (shared-nothing forked
-                          workers, one per shard, merged deterministically
-                          on join — see :mod:`repro.runtime.backends`)
+    ``shards``            modeled cores (one worker thread each in
+                          :meth:`serve`)
+    ``backend``           the shard worker vehicle; ``"thread"`` is the
+                          only one accepted
     ``batch_size``        frames per dispatch chunk on the batched hot
-                          path; also the process backend's quarantine-
-                          relay granularity (a worker drains remote
-                          deactivations between chunks)
+                          path
     ``cycle_budget``      per-invocation cycle cap; ``None`` disables —
                           overruns fault the extension (liveness policy);
                           the string ``"auto"`` derives each extension's
@@ -102,10 +97,9 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("need at least one shard")
-        if self.backend not in ("thread", "process"):
+        if self.backend != "thread":
             raise ValueError(
-                f"backend must be 'thread' or 'process'; "
-                f"got {self.backend!r}")
+                f"backend must be 'thread'; got {self.backend!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
         if self.ingress_capacity < 1:

@@ -6,7 +6,7 @@ turns untrusted bytes into validated programs.  This module is the
 traffic is flowing, and what happens when one of them misbehaves.
 
 Admission (:meth:`PacketRuntime.attach`) goes only through the loader.
-A submission that validates runs on the raw threaded-code engine with
+A submission that validates runs on the raw compiled engine with
 **zero per-packet checks** — the paper's whole point.  A submission that
 fails validation is rejected, or — when the operator opts in with
 ``downgrade_unproven`` — admitted onto the *checked* abstract-machine
@@ -82,9 +82,6 @@ class DispatchReport:
     shard_cycles: tuple[int, ...]
     clock_mhz: float
     records: list[dict] | None = None
-    #: Which execution vehicle produced this report: "serial"
-    #: (:meth:`dispatch`), "thread", or "process" (:meth:`serve`).
-    backend: str = "serial"
 
     @property
     def modeled_seconds(self) -> float:
@@ -441,20 +438,38 @@ class PacketRuntime:
             clock_mhz=self.config.cost_model.clock_mhz, records=records)
 
     def serve(self, frames) -> DispatchReport:
-        """Parallel dispatch: one worker per shard, frames interleaved
-        round-robin so the modeled cores stay balanced.
+        """Parallel dispatch: one worker thread per shard, frames
+        interleaved round-robin so the modeled cores stay balanced.
 
-        ``config.backend`` picks the worker vehicle: ``"thread"`` (one
-        in-process thread per shard, GIL-bound wall clock) or
-        ``"process"`` (shared-nothing forked workers whose counters are
-        merged deterministically on join) — see
-        :mod:`repro.runtime.backends`.  Verdicts, cycle clocks, and
-        per-extension counters are bit-identical across backends and to
-        :meth:`dispatch`; only ``wall_seconds`` depends on the vehicle.
+        Verdicts, cycle clocks, and per-extension counters are
+        bit-identical to :meth:`dispatch`; only ``wall_seconds`` depends
+        on the threads (whose wall throughput is GIL-bound).
         """
-        from repro.runtime.backends import get_backend
-
-        return get_backend(self.config.backend).serve(self, frames)
+        frames = list(frames)
+        kept, drops = self._apply_contract(frames)
+        self.contract_drops += drops
+        extensions = self.extensions
+        shards = self.shards
+        count = len(shards)
+        before = [shard.cycles for shard in shards]
+        workers = [
+            threading.Thread(
+                target=shard.dispatch,
+                args=(kept[index::count], extensions, self.policy),
+                name=f"pcc-shard-{index}", daemon=True)
+            for index, shard in enumerate(shards)
+        ]
+        started = time.perf_counter()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        wall = time.perf_counter() - started
+        return DispatchReport(
+            packets=len(kept), contract_drops=drops, wall_seconds=wall,
+            shard_cycles=tuple(shard.cycles - prior for shard, prior
+                               in zip(shards, before)),
+            clock_mhz=self.config.cost_model.clock_mhz)
 
     def serve_supervised(self, frames, fault_hook=None):
         """Dispatch under the shard supervisor: bounded per-shard

@@ -27,14 +27,8 @@ a healthy supervised run produces bit-identical verdicts and counters
 (and identical modeled cycles — supervision is host-side machinery and
 costs zero modeled time).
 
-Supervised serve is **thread-only** by design: crash-restart works by
-re-running the dispatch callable on a fresh worker thread against
-shared queues and a shared extension table, none of which can span a
-forked worker.  ``serve_supervised`` therefore ignores
-``RuntimeConfig.backend`` — the process backend
-(:mod:`repro.runtime.backends`) applies to plain :meth:`PacketRuntime
-.serve` only, where a worker's whole slice is handed over up front and
-merged on join.
+Crash-restart works by re-running the dispatch callable on a fresh
+worker thread against shared queues and a shared extension table.
 """
 
 from __future__ import annotations

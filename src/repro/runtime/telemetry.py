@@ -1,4 +1,4 @@
-"""Runtime telemetry: latency reservoirs and stats snapshots.
+"""Runtime telemetry: latency percentiles and stats snapshots.
 
 A kernel dispatch plane is only operable if it can answer "which
 extension is slow / faulting / quarantined" without perturbing the hot
@@ -9,50 +9,15 @@ happens only when a snapshot is taken.
 Latency percentiles come from **exact per-cycle histograms**: an Alpha
 filter has only a handful of distinct root-to-leaf path costs, so a
 ``{cycles: count}`` dict records the full latency distribution in a few
-entries, merges across shards (and across worker *processes*) by plain
-addition — associative, order-independent, deterministic — and costs the
-hot path one dict bump instead of a reservoir's per-packet RNG draw.
-:class:`LatencyReservoir` (algorithm R with a seeded RNG) remains for
-consumers sampling genuinely high-cardinality streams.
+entries, merges across shards by plain addition — associative,
+order-independent, deterministic — and costs the hot path one dict bump
+instead of a reservoir's per-packet RNG draw.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
-
-
-class LatencyReservoir:
-    """Fixed-size uniform sample of per-packet cycle latencies.
-
-    Algorithm R: the first ``capacity`` observations are kept verbatim;
-    afterwards observation ``n`` replaces a random slot with probability
-    ``capacity / n``.  The RNG is seeded per reservoir so the sample —
-    and hence every reported percentile — is reproducible.
-    """
-
-    __slots__ = ("capacity", "count", "samples", "_rng")
-
-    def __init__(self, capacity: int = 512, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be positive")
-        self.capacity = capacity
-        self.count = 0
-        self.samples: list[int] = []
-        self._rng = random.Random(seed)
-
-    def add(self, value: int) -> None:
-        self.count += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(value)
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self.samples[slot] = value
-
-    def __len__(self) -> int:
-        return self.count
 
 
 def percentile(values: list[int], fraction: float) -> float:

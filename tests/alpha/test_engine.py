@@ -1,5 +1,6 @@
-"""Unit tests for the threaded-code engine (decode layers, code cache,
-trap slots, step-limit boundary, and the reusable kernel memories)."""
+"""Unit tests for the compiled engine (block and single-instruction
+tables, code cache, trap slots, step-limit boundary, and the reusable
+kernel memories)."""
 
 import struct
 

@@ -1,8 +1,8 @@
-"""Differential property suite: the threaded-code engine is bit-identical
-to the reference interpreter.
+"""Differential property suite: the compiled engine is bit-identical to
+the reference interpreter.
 
-The engine (:mod:`repro.alpha.engine`) pre-decodes programs into closure
-tables and block superinstructions; the reference
+The engine (:mod:`repro.alpha.engine`) compiles programs into
+exec-generated basic-block functions; the reference
 :class:`repro.alpha.machine.Machine` re-decodes every step.  These tests
 generate random programs — including unsafe accesses, loops, and invalid
 branch targets — and assert the two produce *identical* outcomes:
@@ -14,8 +14,8 @@ branch targets — and assert the two produce *identical* outcomes:
 * and, for the abstract machine, blocking at the same pc and address.
 
 Small ``max_steps`` values deliberately land the step limit in the
-middle of compiled blocks, exercising the engine's per-instruction
-boundary path.
+middle of compiled blocks, exercising the engine's hand-over to its
+single-instruction table at the step limit.
 """
 
 import random

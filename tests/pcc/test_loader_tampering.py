@@ -9,6 +9,8 @@ validation exactly as it would cold.  A policy change (weaker, stronger,
 or negotiated) must change the fingerprint and force re-validation.
 """
 
+import threading
+
 import pytest
 
 from repro.errors import ValidationError
@@ -21,10 +23,11 @@ from repro.filters.checksum import (
 from repro.lf.encode import encode_formula
 from repro.logic.formulas import conj, conjuncts, eq, rd
 from repro.logic.terms import Var, add64
-from repro.pcc import certify
+from repro.pcc import certify, validate
 from repro.pcc.container import PccBinary, _HEADER, pack_invariants
 from repro.pcc.loader import ExtensionLoader, policy_fingerprint
 from repro.pcc.negotiate import propose_policy
+from repro.runtime import PacketRuntime
 from repro.vcgen.policy import SafetyPolicy
 
 
@@ -147,6 +150,25 @@ class TestInvariantTampering:
                 checksum_loader.load(_flip(blob, position, 1))
         assert checksum_loader.stats().hits == hits_before
 
+    def test_every_invariant_bit_flip_is_admitted_or_rejected(
+            self, checksum_certified):
+        """Every single-bit flip of the invariant section either still
+        validates (a flip the decoder ignores) or fails closed with a
+        ValidationError — never a bare decoder or encoder exception."""
+        binary = checksum_certified.binary
+        blob = binary.to_bytes()
+        start = len(blob) - len(binary.invariants)
+        assert blob[start:] == binary.invariants
+        policy = checksum_policy()
+        rejected = 0
+        for position in range(start, len(blob)):
+            for bit in range(8):
+                try:
+                    validate(_flip(blob, position, bit), policy)
+                except ValidationError:
+                    rejected += 1
+        assert rejected > 0
+
     def test_replaced_invariant_table_misses_and_rejects(
             self, checksum_loader, checksum_certified):
         """A well-formed but WRONG invariant table: decodes fine, but the
@@ -161,6 +183,35 @@ class TestInvariantTampering:
         with pytest.raises(ValidationError):
             checksum_loader.load(mutated.to_bytes())
         assert checksum_loader.stats().hits == hits_before
+
+
+class TestDeepBinderProof:
+    """A proof of 15,000 nested lambdas overflows the recursive LF walks;
+    every admission path must still answer with a ValidationError."""
+
+    @pytest.fixture(scope="class")
+    def deep_binder_blob(self, certified_filters):
+        victim = certified_filters["filter1"].binary
+        table = bytes([1, 2]) + b"tm"          # one symbol: the type tm
+        proof = b"\x05\x01\x00" * 15_000 + b"\x01\x00"
+        return PccBinary(victim.code, table, proof).to_bytes()
+
+    def test_validate_rejects(self, filter_policy, deep_binder_blob):
+        assert threading.current_thread() is threading.main_thread()
+        with pytest.raises(ValidationError, match="proof does not"):
+            validate(deep_binder_blob, filter_policy)
+
+    def test_loader_rejects(self, filter_policy, deep_binder_blob):
+        loader = ExtensionLoader(filter_policy)
+        with pytest.raises(ValidationError):
+            loader.load(deep_binder_blob)
+        assert len(loader) == 0
+
+    def test_runtime_attach_rejects(self, filter_policy, deep_binder_blob):
+        runtime = PacketRuntime(filter_policy)
+        with pytest.raises(ValidationError):
+            runtime.attach("deep", deep_binder_blob)
+        assert runtime.extensions == []
 
 
 class TestPolicyChangeMustRevalidate:

@@ -1,26 +1,26 @@
-"""Backend/batch differential suite: the execution vehicle may never
+"""Dispatch/batch differential suite: the execution vehicle may never
 change semantics.
 
 Three layers of the same claim, each checked property-based:
 
-* **backends** — serial :meth:`PacketRuntime.dispatch`, the thread
-  backend, and the forked process backend must produce bit-identical
+* **serial vs threads** — serial :meth:`PacketRuntime.dispatch` and the
+  threaded :meth:`PacketRuntime.serve` must produce bit-identical
   snapshots (verdicts, counters, cycle clocks, histograms/percentiles,
   fault ledgers, quarantine transitions) on the same frames, including
   traces that inject faults (budget overruns, checked-tier violations);
 * **batch vs per-frame** — :meth:`ExecutionEngine.run_batch` must equal
-  the per-frame run/run_budgeted dispatch protocol on *arbitrary*
-  machine programs (loops, wild loads, stores, step limits), not just
-  the well-behaved filters;
+  the per-frame :meth:`ExecutionEngine.run` dispatch protocol on
+  *arbitrary* machine programs (loops, wild loads, stores, step limits),
+  not just the well-behaved filters;
 * **compiled vs generic** — :func:`repro.alpha.batch.compile_batch`
   drivers must equal the generic ``run_batch`` on random certifiable
   filter shapes and on the paper filters, across frame degeneracies
   (empty, unaligned, sub-contract lengths) and budgets.
 
 Multi-shard runs with faults in flight are only *end-state* comparable:
-the instant of the quarantine flip is scheduling-dependent on every
-backend (threads read ``active`` once per chunk too), so those tests pin
-the converged state, while strict bit-identity tests pin ``shards=1``.
+the instant of the quarantine flip is scheduling-dependent (threads read
+``active`` once per chunk), so those tests pin the converged state,
+while strict bit-identity tests pin ``shards=1``.
 """
 
 from __future__ import annotations
@@ -67,16 +67,17 @@ def _attach_all(runtime, blobs):
 
 
 def _fingerprint(snapshot):
-    """Everything a backend could corrupt; excludes wall-clock fields."""
+    """Everything a dispatch path could corrupt; excludes wall-clock
+    fields."""
     return (snapshot.packets_in, snapshot.faults, snapshot.contract_drops,
             snapshot.shard_cycles, snapshot.extensions)
 
 
-def _serve_on(backend, policy, blobs, frames, *, shards=1,
+def _serve_on(policy, blobs, frames, *, shards=1,
               cycle_budget=None, fault_threshold=3,
               downgrade_unproven=False):
     runtime = PacketRuntime(policy, RuntimeConfig(
-        shards=shards, backend=backend, cycle_budget=cycle_budget,
+        shards=shards, cycle_budget=cycle_budget,
         fault_threshold=fault_threshold,
         downgrade_unproven=downgrade_unproven))
     _attach_all(runtime, blobs)
@@ -95,7 +96,7 @@ def _dispatch_on(policy, blobs, frames, *, shards=1, cycle_budget=None,
     return runtime.snapshot()
 
 
-# -- backends ------------------------------------------------------------
+# -- serial vs threads ---------------------------------------------------
 
 
 @settings(max_examples=10, deadline=None)
@@ -105,16 +106,13 @@ def _dispatch_on(policy, blobs, frames, *, shards=1, cycle_budget=None,
 def test_backends_bit_identical_on_random_traces(
         filter_policy, filter_blobs, seed, packets, shards, extra):
     """Fault-free traffic: full snapshot equality at any shard count,
-    serial vs thread vs process, including out-of-contract drops."""
+    serial vs thread, including out-of-contract drops."""
     frames = generate_trace(TraceConfig(packets=packets, seed=seed)) + extra
     serial = _dispatch_on(filter_policy, filter_blobs, frames,
                           shards=shards)
-    threaded = _serve_on("thread", filter_policy, filter_blobs, frames,
+    threaded = _serve_on(filter_policy, filter_blobs, frames,
                          shards=shards)
-    forked = _serve_on("process", filter_policy, filter_blobs, frames,
-                       shards=shards)
     assert _fingerprint(serial) == _fingerprint(threaded)
-    assert _fingerprint(serial) == _fingerprint(forked)
 
 
 @settings(max_examples=10, deadline=None)
@@ -124,17 +122,14 @@ def test_backends_bit_identical_on_random_traces(
 def test_backends_bit_identical_under_budget_faults(
         filter_policy, filter_blobs, seed, budget, threshold):
     """Injected budget overruns (and the quarantines they trigger) land
-    identically on every backend at one shard — counters, consecutive
+    identically serial vs thread at one shard — counters, consecutive
     faults, last_fault strings, states, histograms."""
     frames = generate_trace(TraceConfig(packets=40, seed=seed))
     serial = _dispatch_on(filter_policy, filter_blobs, frames,
                           cycle_budget=budget, fault_threshold=threshold)
-    threaded = _serve_on("thread", filter_policy, filter_blobs, frames,
+    threaded = _serve_on(filter_policy, filter_blobs, frames,
                          cycle_budget=budget, fault_threshold=threshold)
-    forked = _serve_on("process", filter_policy, filter_blobs, frames,
-                       cycle_budget=budget, fault_threshold=threshold)
     assert _fingerprint(serial) == _fingerprint(threaded)
-    assert _fingerprint(serial) == _fingerprint(forked)
 
 
 @settings(max_examples=8, deadline=None)
@@ -143,20 +138,16 @@ def test_backends_bit_identical_on_checked_tier_faults(
         filter_policy, filter_blobs, rogue_blob, seed, threshold):
     """A downgraded rogue faulting on its first packets: the checked
     tier's wr-violation ledger and the quarantine flip are identical
-    serial vs thread vs process at one shard."""
+    serial vs thread at one shard."""
     blobs = {"filter1": filter_blobs["filter1"], "rogue": rogue_blob}
     frames = generate_trace(TraceConfig(packets=25, seed=seed))
     serial = _dispatch_on(filter_policy, blobs, frames,
                           fault_threshold=threshold,
                           downgrade_unproven=True)
-    threaded = _serve_on("thread", filter_policy, blobs, frames,
+    threaded = _serve_on(filter_policy, blobs, frames,
                          fault_threshold=threshold,
                          downgrade_unproven=True)
-    forked = _serve_on("process", filter_policy, blobs, frames,
-                       fault_threshold=threshold,
-                       downgrade_unproven=True)
     assert _fingerprint(serial) == _fingerprint(threaded)
-    assert _fingerprint(serial) == _fingerprint(forked)
     rogue = next(ext for ext in serial.extensions if ext.name == "rogue")
     assert rogue.state == "quarantined"
     assert rogue.quarantines == 1
@@ -170,14 +161,13 @@ def test_multishard_quarantine_converges_identically(
     """Multi-shard with a faulting extension: the *moment* of the flip is
     scheduling-dependent, but the converged end state — quarantined
     rogue, exactly one transition, untouched healthy-filter verdicts —
-    must agree across backends."""
+    must agree serial vs thread."""
     blobs = {"filter2": filter_blobs["filter2"], "rogue": rogue_blob}
     frames = generate_trace(TraceConfig(packets=60, seed=seed))
     states = {}
-    for backend in ("thread", "process"):
-        snapshot = _serve_on(backend, filter_policy, blobs, frames,
-                             shards=shards, fault_threshold=2,
-                             downgrade_unproven=True)
+    for vehicle, run in (("serial", _dispatch_on), ("thread", _serve_on)):
+        snapshot = run(filter_policy, blobs, frames, shards=shards,
+                       fault_threshold=2, downgrade_unproven=True)
         rogue = next(ext for ext in snapshot.extensions
                      if ext.name == "rogue")
         healthy = next(ext for ext in snapshot.extensions
@@ -187,9 +177,9 @@ def test_multishard_quarantine_converges_identically(
         # Isolation is exact: the healthy filter saw every frame.
         assert healthy.packets_in == len(frames)
         assert healthy.faults == 0
-        states[backend] = (healthy.accepted, healthy.cycles,
+        states[vehicle] = (healthy.accepted, healthy.cycles,
                            snapshot.contract_drops)
-    assert states["thread"] == states["process"]
+    assert states["thread"] == states["serial"]
 
 
 # -- batch vs per-frame --------------------------------------------------
@@ -210,7 +200,7 @@ def _normalize(outcome):
 
 
 def _per_frame_reference(engine, frames, start, cycle_budget):
-    """The serial dispatch protocol run/run_budgeted would follow."""
+    """The serial dispatch protocol per-frame runs would follow."""
     memory, rebind = reusable_packet_memory()
     accepted = 0
     hist: dict[int, int] = {}
@@ -220,11 +210,7 @@ def _per_frame_reference(engine, frames, start, cycle_budget):
         rebind(frame)
         registers = filter_registers(len(frame))
         try:
-            if cycle_budget is None:
-                result = engine.run(memory, registers)
-            else:
-                result = engine.run_budgeted(memory, registers,
-                                             cycle_budget)
+            result = engine.run(memory, registers, cycle_budget)
         except MachineError as error:
             return index, accepted, list(hist.items()), error
         if result.value:

@@ -8,6 +8,8 @@ bit-for-bit, because the runtime runs the *same* certified code over the
 
 import json
 
+import pytest
+
 from repro.filters.oracle import ORACLES
 from repro.filters.packets import oversize_frame, truncate_frame
 from repro.runtime import PacketRuntime, RuntimeConfig
@@ -62,6 +64,12 @@ def test_serve_matches_dispatch_counters(filter_policy, filter_blobs,
         assert left.accepted == right.accepted
         assert left.cycles == right.cycles
         assert left.p99_cycles == right.p99_cycles
+
+
+def test_threads_are_the_only_shard_vehicle():
+    assert RuntimeConfig(backend="thread").backend == "thread"
+    with pytest.raises(ValueError, match="backend"):
+        RuntimeConfig(backend="process")
 
 
 def test_contract_enforcement_drops_out_of_contract_frames(
