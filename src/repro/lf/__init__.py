@@ -29,7 +29,6 @@ from repro.lf.syntax import (
     TYPE,
     KIND,
     lf_app,
-    lf_size,
     normalize,
 )
 from repro.lf.typecheck import infer_type, check_proof_term
@@ -54,7 +53,6 @@ __all__ = [
     "TYPE",
     "KIND",
     "lf_app",
-    "lf_size",
     "normalize",
     "infer_type",
     "check_proof_term",

@@ -141,85 +141,92 @@ def spine(term: LfTerm) -> tuple[LfTerm, list[LfTerm]]:
     return term, args
 
 
+def _walk(term: LfTerm, depth: int, on_var, memo: dict,
+          tag: object) -> LfTerm:
+    """Rebuild ``term`` with every variable ``v`` under ``depth`` binders
+    replaced by ``on_var(v, depth)``.
+
+    Identity-memoized per (node, ``tag``, depth) and sharing-preserving:
+    decoded proof objects are DAGs, and naive structural recursion would
+    be exponential in their unshared size.  Memo entries hold their key
+    node, so one memo may outlive a call without its ids being reused.
+    """
+    if isinstance(term, LfVar):
+        return on_var(term, depth)
+    if isinstance(term, (LfConst, LfInt)):
+        return term
+    key = (id(term), tag, depth)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached[1]
+    if isinstance(term, LfApp):
+        fn = _walk(term.fn, depth, on_var, memo, tag)
+        arg = _walk(term.arg, depth, on_var, memo, tag)
+        result = term if fn is term.fn and arg is term.arg \
+            else LfApp(fn, arg)
+    elif isinstance(term, LfLam):
+        ty = _walk(term.ty, depth, on_var, memo, tag)
+        body = _walk(term.body, depth + 1, on_var, memo, tag)
+        result = term if ty is term.ty and body is term.body \
+            else LfLam(ty, body, term.hint)
+    elif isinstance(term, LfPi):
+        dom = _walk(term.dom, depth, on_var, memo, tag)
+        cod = _walk(term.cod, depth + 1, on_var, memo, tag)
+        result = term if dom is term.dom and cod is term.cod \
+            else LfPi(dom, cod, term.hint)
+    else:
+        raise LfError(f"not an LF term: {term!r}")
+    memo[key] = (term, result)
+    return result
+
+
 def shift(term: LfTerm, amount: int, cutoff: int = 0,
           _memo: dict | None = None) -> LfTerm:
-    """Shift free de Bruijn indices >= cutoff by ``amount``.
+    """Shift free de Bruijn indices >= cutoff by ``amount`` (memo key
+    (node, amount, cutoff); see :func:`_walk`)."""
+    if amount == 0:
+        return term
 
-    Identity-memoized per (node, cutoff) and sharing-preserving: decoded
-    proof objects are DAGs, and naive structural recursion would be
-    exponential in their unshared size.
+    def on_var(var: LfVar, depth: int) -> LfTerm:
+        if var.index < depth:
+            return var
+        if var.index + amount < 0:
+            raise LfError("negative de Bruijn index after shift")
+        return LfVar(var.index + amount)
+
+    return _walk(term, cutoff, on_var, _memo if _memo is not None else {},
+                 amount)
+
+
+def instantiate(term: LfTerm, args: list[LfTerm],
+                shifted: dict | None = None) -> LfTerm:
+    """Substitute ``args`` simultaneously for the ``len(args)`` innermost
+    free variables of ``term``: ``args[-1]`` for index 0, ``args[0]`` for
+    index ``len(args) - 1``; higher indices drop by ``len(args)``.
+
+    One walk of ``term``.  An argument is shifted only where it lands
+    under a binder of ``term``; ``shifted`` is the memo of those shifts,
+    so a caller may share it across many instantiations.
     """
-    memo = _memo if _memo is not None else {}
-    if isinstance(term, LfVar):
-        if term.index >= cutoff:
-            new_index = term.index + amount
-            if new_index < 0:
-                raise LfError("negative de Bruijn index after shift")
-            return LfVar(new_index)
+    count = len(args)
+    if count == 0:
         return term
-    if isinstance(term, (LfConst, LfInt)):
-        return term
-    key = (id(term), cutoff)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(term, LfApp):
-        fn = shift(term.fn, amount, cutoff, memo)
-        arg = shift(term.arg, amount, cutoff, memo)
-        result = term if fn is term.fn and arg is term.arg \
-            else LfApp(fn, arg)
-    elif isinstance(term, LfLam):
-        ty = shift(term.ty, amount, cutoff, memo)
-        body = shift(term.body, amount, cutoff + 1, memo)
-        result = term if ty is term.ty and body is term.body \
-            else LfLam(ty, body, term.hint)
-    elif isinstance(term, LfPi):
-        dom = shift(term.dom, amount, cutoff, memo)
-        cod = shift(term.cod, amount, cutoff + 1, memo)
-        result = term if dom is term.dom and cod is term.cod \
-            else LfPi(dom, cod, term.hint)
-    else:
-        raise LfError(f"not an LF term: {term!r}")
-    memo[key] = result
-    return result
+    shift_memo = shifted if shifted is not None else {}
+
+    def on_var(var: LfVar, depth: int) -> LfTerm:
+        index = var.index - depth
+        if index < 0:
+            return var
+        if index < count:
+            return shift(args[count - 1 - index], depth, 0, shift_memo)
+        return LfVar(var.index - count)
+
+    return _walk(term, 0, on_var, {}, None)
 
 
-def subst(term: LfTerm, replacement: LfTerm, index: int = 0,
-          _memo: dict | None = None) -> LfTerm:
-    """Substitute ``replacement`` for variable ``index`` in ``term``
-    (identity-memoized and sharing-preserving, like :func:`shift`)."""
-    memo = _memo if _memo is not None else {}
-    if isinstance(term, LfVar):
-        if term.index == index:
-            return shift(replacement, index)
-        if term.index > index:
-            return LfVar(term.index - 1)
-        return term
-    if isinstance(term, (LfConst, LfInt)):
-        return term
-    key = (id(term), index)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(term, LfApp):
-        fn = subst(term.fn, replacement, index, memo)
-        arg = subst(term.arg, replacement, index, memo)
-        result = term if fn is term.fn and arg is term.arg \
-            else LfApp(fn, arg)
-    elif isinstance(term, LfLam):
-        ty = subst(term.ty, replacement, index, memo)
-        body = subst(term.body, replacement, index + 1, memo)
-        result = term if ty is term.ty and body is term.body \
-            else LfLam(ty, body, term.hint)
-    elif isinstance(term, LfPi):
-        dom = subst(term.dom, replacement, index, memo)
-        cod = subst(term.cod, replacement, index + 1, memo)
-        result = term if dom is term.dom and cod is term.cod \
-            else LfPi(dom, cod, term.hint)
-    else:
-        raise LfError(f"not an LF term: {term!r}")
-    memo[key] = result
-    return result
+def subst(term: LfTerm, replacement: LfTerm) -> LfTerm:
+    """Substitute ``replacement`` for variable 0 in ``term``."""
+    return instantiate(term, [replacement])
 
 
 def whnf(term: LfTerm) -> LfTerm:
@@ -278,24 +285,3 @@ def normalize(term: LfTerm, _memo: dict | None = None) -> LfTerm:
         return result
 
     return go(term)
-
-
-def alpha_beta_equal(a: LfTerm, b: LfTerm) -> bool:
-    """Definitional equality: beta-normalize and compare structurally
-    (alpha handled by de Bruijn representation)."""
-    if a == b:
-        return True
-    return normalize(a) == normalize(b)
-
-
-def lf_size(term: LfTerm) -> int:
-    """Node count of an LF term."""
-    if isinstance(term, (LfConst, LfVar, LfInt)):
-        return 1
-    if isinstance(term, LfApp):
-        return 1 + lf_size(term.fn) + lf_size(term.arg)
-    if isinstance(term, (LfLam, LfPi)):
-        first = term.ty if isinstance(term, LfLam) else term.dom
-        second = term.body if isinstance(term, LfLam) else term.cod
-        return 1 + lf_size(first) + lf_size(second)
-    raise LfError(f"not an LF term: {term!r}")

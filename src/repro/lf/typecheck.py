@@ -13,14 +13,23 @@ Performance notes (they do not affect what is accepted):
   same Python object — so inference and normalization are memoized by
   object identity plus context identity;
 * contexts are cons-lists, so extending a context preserves the identity
-  of the shared tail.
+  of the shared tail;
+* an application spine ``c a1 ... an`` is typed at once: walking the
+  head's Pi binders collects the arguments in an environment, each
+  domain is instantiated with one simultaneous substitution, and the
+  result type once at the end (``whnf`` runs only where the remaining
+  type is not syntactically a Pi);
+* argument shifts go through one memo per checker, keyed (node, amount,
+  cutoff); each entry holds its key node, so no id is reused while the
+  checker lives, and nothing is kept at module level (validation runs on
+  loader worker threads).
 
 One extension (documented in :mod:`repro.lf.signature`): signature
 constants may carry a *side condition*, a decidable predicate on the
-argument spine that is checked at every full application.  This implements
-the paper's "predicate calculus extended with two's-complement integer
-arithmetic" — the logical skeleton is pure LF, the arithmetic literals are
-checked computationally.
+first ``side_arity`` arguments, checked once a spine has that many.
+This implements the paper's "predicate calculus extended with
+two's-complement integer arithmetic" — the logical skeleton is pure LF,
+the arithmetic literals are checked computationally.
 """
 
 from __future__ import annotations
@@ -37,10 +46,10 @@ from repro.lf.syntax import (
     LfTerm,
     LfVar,
     TYPE,
+    instantiate,
     normalize,
     shift,
     spine,
-    subst,
     whnf,
 )
 
@@ -87,6 +96,7 @@ class _Checker:
         self._infer_memo: dict[tuple, tuple] = {}
         self._norm_memo: dict[int, tuple] = {}
         self._free_memo: dict[int, tuple] = {}
+        self._shifted: dict[tuple, tuple] = {}
 
     def normalized(self, term: LfTerm) -> LfTerm:
         # The memo is shared across calls (normalize stores
@@ -104,7 +114,7 @@ class _Checker:
         while ctx is not None:
             ty, parent = ctx
             if walked == index:
-                return shift(ty, index + 1)
+                return shift(ty, index + 1, 0, self._shifted)
             walked += 1
             ctx = parent
         raise LfError(f"unbound de Bruijn index {index}")
@@ -171,29 +181,31 @@ class _Checker:
             body_ty = self.infer(term.body, (term.ty, ctx), depth + 1)
             return LfPi(term.ty, body_ty, term.hint)
         if isinstance(term, LfApp):
-            fn_ty = whnf(self.infer(term.fn, ctx, depth + 1))
-            if not isinstance(fn_ty, LfPi):
-                raise LfError("application of a non-function")
-            arg_ty = self.infer(term.arg, ctx, depth + 1)
-            if not self.equal(arg_ty, fn_ty.dom):
-                raise LfError("argument type mismatch")
-            self._side_condition(term)
-            return subst(fn_ty.cod, term.arg)
+            head, args = spine(term)
+            ty = self.infer(head, ctx, depth + 1)
+            entry = self.signature.entries.get(head.name) \
+                if isinstance(head, LfConst) else None
+            side_arity = entry.side_arity \
+                if entry is not None and entry.side_condition else 0
+            env: list[LfTerm] = []
+            for position, arg in enumerate(args, 1):
+                if not isinstance(ty, LfPi):
+                    ty, env = whnf(instantiate(ty, env, self._shifted)), []
+                    if not isinstance(ty, LfPi):
+                        raise LfError("application of a non-function")
+                arg_ty = self.infer(arg, ctx, depth + 1)
+                dom = instantiate(ty.dom, env, self._shifted)
+                if not self.equal(arg_ty, dom):
+                    raise LfError("argument type mismatch")
+                env.append(arg)
+                ty = ty.cod
+                if position == side_arity and \
+                        not entry.side_condition(args[:side_arity]):
+                    raise LfError(
+                        f"side condition of {head.name!r} failed — the "
+                        f"proof instantiates an arithmetic schema unsoundly")
+            return instantiate(ty, env, self._shifted)
         raise LfError(f"not an LF term: {term!r}")
-
-    def _side_condition(self, application: LfApp) -> None:
-        head, args = spine(application)
-        if not isinstance(head, LfConst):
-            return
-        entry = self.signature.entries.get(head.name)
-        if entry is None or entry.side_condition is None:
-            return
-        if len(args) != entry.side_arity:
-            return
-        if not entry.side_condition(args):
-            raise LfError(
-                f"side condition of {head.name!r} failed — the proof "
-                f"instantiates an arithmetic schema unsoundly")
 
 
 def infer_type(term: LfTerm, signature: Signature,

@@ -39,12 +39,18 @@ def _validate_seconds(certified) -> float:
     return time.perf_counter() - started
 
 
+def _best_validate_seconds(certified, runs: int = 3) -> float:
+    # The minimum of a few runs filters out a collection or a busy
+    # neighbour landing on one of them.
+    return min(_validate_seconds(certified) for __ in range(runs))
+
+
 class TestValidationScaling:
     def test_conditional_chains_stay_tame(self, filter_policy):
         times = {}
         for depth in (4, 8, 16):
             certified = certify(_chain(depth), filter_policy)
-            times[depth] = _validate_seconds(certified)
+            times[depth] = _best_validate_seconds(certified)
         # 4x the depth may not cost more than ~12x the time (roughly
         # linear with logging slack; exponential would be >1000x)
         assert times[16] < 12 * max(times[4], 0.005)

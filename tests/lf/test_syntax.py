@@ -7,9 +7,7 @@ from repro.lf.syntax import (
     LfLam,
     LfPi,
     LfVar,
-    alpha_beta_equal,
     lf_app,
-    lf_size,
     normalize,
     shift,
     spine,
@@ -58,12 +56,12 @@ class TestNormalization:
         # hints differ, de Bruijn structure identical
         a = LfLam(TM, LfVar(0), hint="x")
         b = LfLam(TM, LfVar(0), hint="y")
-        assert alpha_beta_equal(a, b)
+        assert a == b
 
     def test_beta_equality(self):
         identity = LfLam(TM, LfVar(0))
-        assert alpha_beta_equal(LfApp(identity, LfInt(7)), LfInt(7))
-        assert not alpha_beta_equal(LfInt(7), LfInt(8))
+        assert normalize(LfApp(identity, LfInt(7))) == LfInt(7)
+        assert normalize(LfInt(7)) != normalize(LfInt(8))
 
 
 class TestHelpers:
@@ -72,7 +70,3 @@ class TestHelpers:
         head, args = spine(term)
         assert head == LfConst("f")
         assert args == [LfInt(1), LfInt(2)]
-
-    def test_lf_size(self):
-        assert lf_size(LfInt(3)) == 1
-        assert lf_size(lf_app(LfConst("f"), LfInt(1))) == 3

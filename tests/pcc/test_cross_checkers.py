@@ -9,6 +9,7 @@ wrong, so this is the deepest consistency test in the suite.
 
 import pytest
 
+from repro.filters.kv import KV_PROGRAMS, kv_packet_policy
 from repro.lf.encode import encode_formula, encode_proof
 from repro.lf.binary import deserialize_lf, serialize_lf
 from repro.lf.signature import SIGNATURE
@@ -30,6 +31,16 @@ def _cross_validate(certified):
     check_proof_term(deserialize_lf(table, stream), expected, SIGNATURE)
 
 
+@pytest.fixture(scope="module")
+def certified_kv():
+    from repro.pcc import certify
+
+    policy = kv_packet_policy()
+    return {spec.name: certify(spec.source, policy,
+                               invariants=spec.invariants())
+            for spec in KV_PROGRAMS}
+
+
 class TestCrossValidation:
     def test_resource_access(self, resource_certified):
         _cross_validate(resource_certified)
@@ -38,6 +49,11 @@ class TestCrossValidation:
                                       "filter4", "scratch-counter"])
     def test_packet_filters(self, certified_filters, name):
         _cross_validate(certified_filters[name])
+
+    @pytest.mark.parametrize("name", [spec.name for spec in KV_PROGRAMS])
+    def test_kv_programs(self, certified_kv, name):
+        # The store-bearing programs lean hardest on long rule spines.
+        _cross_validate(certified_kv[name])
 
     def test_checksum_with_loop(self):
         from repro.filters.checksum import (
