@@ -1,4 +1,4 @@
-"""Whole-trace batch compilation for the packet-filter hot path.
+"""Whole-trace batch compilation for the dispatch hot path.
 
 :class:`~repro.alpha.engine.ExecutionEngine` already removes the
 per-instruction interpretation cost (exec-compiled basic blocks), but
@@ -10,13 +10,19 @@ filters themselves.
 
 This module compiles an entire *program* — not just its blocks — into a
 single exec-generated **batch driver**: one Python function that loops
-over a list of frames and evaluates the whole filter inline per frame.
-It is a partial evaluator specialized to the packet-filter invocation
-contract (:class:`FramePlan`):
+over a list of frames and evaluates the whole program inline per frame.
+It is a partial evaluator specialized to an invocation contract
+(:class:`FramePlan`):
 
-* the program's DAG of basic blocks is inlined into a decision *tree*
-  (diamonds are duplicated, loops are rejected), so each root-to-leaf
-  path is straight-line code guarded by the original branch conditions;
+* the program's blocks are inlined into a decision *tree* (diamonds are
+  duplicated), so each root-to-leaf path is straight-line code guarded
+  by the original branch conditions;
+* a reducible natural loop becomes a ``while True:`` at its header.
+  The registers its body writes become loop-carried locals, with their
+  range facts widened to the full word; a back edge assigns them and
+  ``continue``\\ s; a loop exit inlines its successor subtree inside the
+  loop, the way diamonds are duplicated; nested loops continue an outer
+  loop through a flag;
 * registers are evaluated symbolically: r1/r3 are the plan's constant
   bases, r2 is the frame length, everything else starts at 0, and all
   arithmetic over compile-time constants is folded using the *reference
@@ -32,39 +38,50 @@ contract (:class:`FramePlan`):
   is unchanged), and elide load-guard terms (alignment, lower bound)
   that the address range already guarantees;
 * materialized subexpressions are remembered per path, so a value the
-  filter recomputes (common after tree duplication) is evaluated once —
-  loads included: a reload of the same address is pure given the frame;
+  program recomputes (common after tree duplication) is evaluated once —
+  loads included, until the next store; the memo restarts at every
+  loop header;
 * loads at constant in-packet offsets become ``unpack_from(frame, off)``
-  guarded by one length compare; loads that fall inside the (store-free,
-  hence always-zero) scratch region fold to the constant 0; everything
-  else — padded-tail words, unaligned or unmapped addresses — funnels
-  through one out-of-line helper that raises the *exact* reference
-  :class:`MachineError` messages;
-* a path's dynamic step and cycle counts are decode-time constants, so
-  per-packet cycle telemetry is a per-leaf counter increment and the
-  returned latency data is an exact histogram, not a sample;
-* cycle-budget checks compile to constant comparisons at block entry —
-  and are elided entirely when the budget is at least the DAG's maximum
-  path cost, because then no check can ever fire (the caller picks the
-  budgeted or plain driver per batch).
+  guarded by one length compare; loads from the side region read its
+  live bytes — or fold to 0 while a re-zeroed side region has not been
+  stored to on the path; everything else — padded-tail words, unaligned
+  or unmapped addresses — funnels through one out-of-line helper that
+  raises the *exact* reference :class:`MachineError` messages;
+* stores to the side region write its bytes at once, where the
+  engine's store would land, so a fault or budget overrun mid-loop
+  leaves the same partial state; packet stores write a per-frame copy
+  that later loads read (the copy is made by the first one);
+* outside loops a path's step and cycle counts are decode-time
+  constants, so per-packet cycle telemetry is a per-leaf counter
+  increment and the returned latency data is an exact histogram;
+  inside and after loops they are per-frame accumulators;
+* cycle-budget checks compare the clock at every block entry, with the
+  engine's payloads — and are elided entirely when the budget is at
+  least a loop-free program's maximum path cost, because then no check
+  can ever fire (the caller picks the budgeted or plain driver per
+  batch).  Each loop header checks the step clock against the longest
+  run to the next header; a run that could reach the engine's step
+  limit hands its frame to the engine at that header, which finishes
+  it with the exact single-step semantics.
 
 The compiled driver is **bit-identical** to running the engine frame by
-frame over a freshly rebound :func:`~repro.filters.policy
-.reusable_packet_memory`: same verdicts, same cycle counts, same error
-types, messages and fault ordering.  ``tests/runtime/
-test_backend_differential.py`` asserts this on random programs and
-random (including degenerate) frames.
+frame over the contract's reusable memory: same verdicts, same cycle
+counts, same side-region bytes, same error types, messages and fault
+ordering.  ``tests/runtime/test_backend_differential.py`` asserts this
+on random programs and random (including degenerate) frames.
 
 Applicability: :func:`compile_batch` returns ``None`` — and callers fall
-back to :meth:`ExecutionEngine.run_batch` — for programs with stores
-(the scratch-is-zero folding would be wrong), loops (the tree would be
-infinite), step counts that could reach the engine's step limit, or
-inlined trees past a size cap.  One documented divergence remains:
-frames longer than the packet-to-scratch gap would make ``rebind``
-itself fault on region overlap before the engine ever ran, which the
-driver (which touches no :class:`Memory`) cannot reproduce; the runtime
-dispatches batches only under its frame contract (max 1518 bytes), far
-below the 64 KiB gap.
+back to :meth:`ExecutionEngine.run_batch` — for irreducible control
+flow (a back edge into a block that does not dominate it), loop-free
+programs whose step counts could reach the engine's step limit, and
+inlined trees past a size cap; :func:`batch_capability` names the
+reason.  Two documented divergences remain, both outside the runtime's
+frame contract (max 1518 bytes, far below the 64 KiB gaps): frames
+longer than the packet-to-side gap would make ``rebind`` itself fault
+on region overlap before the engine ever ran, which the driver (which
+touches no :class:`Memory`) cannot reproduce; and the driver does not
+write the shard memory's packet region — packet rewrites live in the
+per-frame copy, which nothing reads after the invocation.
 """
 
 from __future__ import annotations
@@ -75,6 +92,7 @@ from typing import NamedTuple
 
 from repro.alpha.isa import (
     BRANCHES,
+    NUM_REGS,
     OPERATES,
     WORD_MASK,
     Br,
@@ -88,8 +106,8 @@ from repro.alpha.isa import (
     Ret,
     Stq,
 )
-from repro.alpha.engine import block_leaders
-from repro.alpha.machine import _sext16
+from repro.alpha.engine import ExecutionEngine, block_leaders, cached
+from repro.alpha.machine import Memory, _sext16
 from repro.errors import BudgetExceeded, MachineError
 
 __all__ = ["BatchRunner", "FramePlan", "batch_capability", "compile_batch"]
@@ -102,10 +120,13 @@ _S63 = 1 << 63
 #: (Python's compiler limits indentation) before falling back.
 _MAX_NODES = 3000
 _MAX_DEPTH = 48
+#: Emitted ``while`` loops nested in one another (Python allows 20
+#: statically nested blocks; the driver's ``try`` and ``for`` take two).
+_MAX_LOOPS = 12
 
 #: Every operator result is assigned to a (memoized) temporary — the
 #: maximal-sharing form — and a post-pass re-inlines the temporaries
-#: with exactly one consumer, so values the filter uses once cost no
+#: with exactly one consumer, so values the program uses once cost no
 #: store/load and values it reuses are computed once.
 
 _ZERO = ("k", 0)
@@ -118,20 +139,27 @@ _AND_CONST = re.compile(r"\((.+) & (\d+|0x[0-9A-Fa-f]+)\)")
 
 _EXT_MASKS = {"EXTBL": "0xFF", "EXTWL": "0xFFFF", "EXTLL": "0xFFFFFFFF"}
 
+_QUAD = Struct("<Q")
+
 
 class FramePlan(NamedTuple):
     """The invocation contract the driver is specialized against.
 
-    Mirrors :func:`repro.filters.policy.reusable_packet_memory` and
-    :func:`~repro.filters.policy.filter_registers`: a read-only packet
-    region at ``packet_base`` (zero-padded to 8 bytes), a zeroed
-    writable scratch region, and entry registers r1 = packet base,
-    r2 = frame length, r3 = scratch base.
+    Entry registers are r1 = ``packet_base``, r2 = frame length and
+    r3 = ``side_base``; the packet region holds the frame zero-padded to
+    8 bytes and a ``side_size``-byte side region sits at ``side_base``.
+    By default this mirrors :func:`repro.filters.policy
+    .reusable_packet_memory`: a read-only packet and a scratch side
+    region re-zeroed per invocation.  ``kv`` mirrors
+    :func:`repro.filters.kv.reusable_kv_memory` instead: a writable
+    packet and a persistent side region, never re-zeroed, whose live
+    bytes the caller passes to :meth:`BatchRunner.run`.
     """
 
     packet_base: int
-    scratch_base: int
-    scratch_size: int
+    side_base: int
+    side_size: int
+    kv: bool = False
 
 
 class _Fallback(Exception):
@@ -146,182 +174,292 @@ class BatchRunner:
     executed (== ``len(frames)`` when no fault), how many completed
     frames returned a truthy verdict, ``(cycles, count)`` pairs for the
     completed frames (counts may be 0), and the :class:`MachineError`
-    that stopped frame ``next_index`` (or ``None``).  Identical to
-    :meth:`~repro.alpha.engine.ExecutionEngine.run_batch` over a rebound
-    reusable packet memory, bit for bit.
+    that stopped frame ``next_index`` (or ``None``).  ``state`` is the
+    live side-region bytearray under a ``kv`` plan (ignored otherwise);
+    the driver updates it in place.  Identical to
+    :meth:`~repro.alpha.engine.ExecutionEngine.run_batch` over the
+    plan's reusable memory, bit for bit.  ``max_path_cycles`` is None
+    for programs with loops: no budget can be elided for them.
     """
 
     __slots__ = ("_plain", "_budgeted", "max_path_cycles")
 
-    def __init__(self, plain, budgeted, max_path_cycles: int) -> None:
+    def __init__(self, plain, budgeted, max_path_cycles: int | None) -> None:
         self._plain = plain
         self._budgeted = budgeted
         self.max_path_cycles = max_path_cycles
 
     def run(self, frames: list, start: int = 0,
-            cycle_budget: int | None = None):
-        if cycle_budget is None or cycle_budget >= self.max_path_cycles:
+            cycle_budget: int | None = None, state: bytearray | None = None):
+        bound = self.max_path_cycles
+        if cycle_budget is None or (bound is not None
+                                    and cycle_budget >= bound):
             # No prefix of any path can exceed the budget: the budgeted
             # driver could never raise, so run without the compares.
-            return self._plain(frames, start)
-        return self._budgeted(frames, start, cycle_budget)
+            return self._plain(frames, start, state)
+        return self._budgeted(frames, start, state, cycle_budget)
+
+
+class _Loop(NamedTuple):
+    """One natural loop: its blocks (header included), the registers
+    live at its header (the rest hold nothing any path reads), the
+    registers its body writes and that are live (the loop-carried set),
+    and whether it stores."""
+
+    body: frozenset
+    live: frozenset
+    carried: tuple
+    stores: bool
+
+
+class _Graph:
+    """The program's block graph, carved exactly as the engine's block
+    table is — the driver must charge cycles and check budgets at the
+    same boundaries or BudgetExceeded payloads would drift — with its
+    natural loops.  ``reason`` says why the program cannot take the
+    compiled path, or is None."""
+
+    def __init__(self, program: Program, max_steps: int) -> None:
+        size = len(program)
+        self.length: dict[int, int] = {}
+        self.succs: dict[int, tuple] = {}
+        self.loops: dict[int, _Loop] = {}
+        self.post: list[int] = []
+        self.stores = any(isinstance(ins, Stq) for ins in program)
+        self.nested = False
+        self.reason: str | None = None
+        for pc, instruction in enumerate(program):
+            if not isinstance(instruction, (Operate, Ldq, Stq, Lda, Ldah,
+                                            Branch, Br, Ret)):
+                self.reason = (f"unsupported {type(instruction).__name__} "
+                               f"at pc={pc}")  # pragma: no cover
+                return
+        leaders = block_leaders(program)
+        for leader in leaders:
+            pc = leader
+            while True:
+                instruction = program[pc]
+                pc += 1
+                if (isinstance(instruction, (Branch, Br, Ret))
+                        or pc >= size or pc in leaders):
+                    break
+            self.length[leader] = pc - leader
+        for leader, count in self.length.items():
+            last_pc = leader + count - 1
+            last = program[last_pc]
+            if isinstance(last, Ret):
+                self.succs[leader] = ()
+            elif isinstance(last, Br):
+                self.succs[leader] = (last_pc + 1 + last.offset,)
+            elif isinstance(last, Branch):
+                self.succs[leader] = (last_pc + 1 + last.offset,
+                                      last_pc + 1)
+            else:                   # fell through into a leader
+                self.succs[leader] = (leader + count,)
+        if not size:
+            return
+        # Depth-first from pc 0 (an explicit stack: no recursion limit on
+        # long programs): postorder, plus the retreating edges (into a
+        # block still on the stack) every cycle must contain.
+        on_stack = {0}
+        seen = {0}
+        retreating: list[tuple[int, int]] = []
+        stack = [(0, iter(self.succs[0]))]
+        while stack:
+            leader, pending = stack[-1]
+            for succ in pending:
+                if not 0 <= succ < size:
+                    continue        # trap: no block
+                if succ in on_stack:
+                    retreating.append((leader, succ))
+                elif succ not in seen:
+                    seen.add(succ)
+                    on_stack.add(succ)
+                    stack.append((succ, iter(self.succs[succ])))
+                    break
+            else:
+                stack.pop()
+                on_stack.discard(leader)
+                self.post.append(leader)
+        self.reason = self._find_loops(program, retreating)
+        if self.reason is None:
+            steps = self.longest(self.length)[0]
+            if steps >= max_steps:
+                self.reason = (f"worst-case path of {steps} steps reaches "
+                               f"the {max_steps}-step limit")
+
+    def _find_loops(self, program: Program,
+                    retreating: list[tuple[int, int]]) -> str | None:
+        """Check that every retreating edge targets a block dominating
+        its source (reducibility), and collect each header's natural
+        loop; returns the refusal reason for irreducible flow."""
+        post = self.post
+        number = {leader: index for index, leader in enumerate(post)}
+        preds: dict[int, list[int]] = {leader: [] for leader in post}
+        for leader in post:
+            for succ in self.succs[leader]:
+                if succ in preds:
+                    preds[succ].append(leader)
+        # Immediate dominators (Cooper, Harvey and Kennedy's iteration
+        # over reverse postorder).
+        idom = {0: 0}
+        changed = True
+        while changed:
+            changed = False
+            for leader in reversed(post):
+                if leader == 0:
+                    continue
+                new = None
+                for pred in preds[leader]:
+                    if pred not in idom:
+                        continue
+                    if new is None:
+                        new = pred
+                        continue
+                    x, y = pred, new
+                    while x != y:
+                        while number[x] < number[y]:
+                            x = idom[x]
+                        while number[y] < number[x]:
+                            y = idom[y]
+                    new = x
+                if idom.get(leader) != new:
+                    idom[leader] = new
+                    changed = True
+
+        def dominates(header: int, leader: int) -> bool:
+            while leader != header:
+                if leader == 0:
+                    return False
+                leader = idom[leader]
+            return True
+
+        bodies: dict[int, set[int]] = {}
+        for source, header in retreating:
+            if not dominates(header, source):
+                return (f"irreducible loop: the edge from pc="
+                        f"{source + self.length[source] - 1} re-enters "
+                        f"pc={header}, which does not dominate it")
+            body = bodies.setdefault(header, {header})
+            stack = [source]
+            while stack:
+                leader = stack.pop()
+                if leader not in body:
+                    body.add(leader)
+                    stack.extend(preds[leader])
+        live = self._live_in(program) if bodies else {}
+        for header, body in bodies.items():
+            writes: set[int] = set()
+            stores = False
+            for leader in body:
+                for ins in program[leader:leader + self.length[leader]]:
+                    written = _defs_uses(ins)[0]
+                    if written is not None:
+                        writes.add(written)
+                    stores = stores or isinstance(ins, Stq)
+            self.loops[header] = _Loop(
+                frozenset(body), frozenset(live[header]),
+                tuple(sorted(writes & live[header])), stores)
+        self.nested = any(header in other.body
+                          for header in self.loops
+                          for outer, other in self.loops.items()
+                          if outer != header)
+        return None
+
+    def _live_in(self, program: Program) -> dict[int, set[int]]:
+        """The registers live at each block entry (read on some path
+        before being written; RET reads r0), to a fixpoint."""
+        live: dict[int, set[int]] = {leader: set() for leader in self.post}
+        changed = True
+        while changed:
+            changed = False
+            for leader in self.post:
+                regs: set[int] = set()
+                for succ in self.succs[leader]:
+                    regs |= live.get(succ, set())
+                for ins in reversed(
+                        program[leader:leader + self.length[leader]]):
+                    written, read = _defs_uses(ins)
+                    regs.discard(written)
+                    regs.update(read)
+                if regs != live[leader]:
+                    live[leader] = regs
+                    changed = True
+        return live
+
+    def longest(self, weight: dict[int, int]) -> dict[int, int]:
+        """Per block: the heaviest run from its entry to a RET, a trap
+        or the next loop header (the header itself not counted).  Every
+        cycle passes a header, so this is a DAG walk; postorder visits
+        each block's other successors first."""
+        best: dict[int, int] = {}
+        for leader in self.post:
+            best[leader] = weight[leader] + max(
+                (best[succ] for succ in self.succs[leader]
+                 if succ in best and succ not in self.loops), default=0)
+        return best
+
+
+def _defs_uses(ins) -> tuple[int | None, tuple[int, ...]]:
+    """The register an instruction writes (or None) and those it reads."""
+    if isinstance(ins, Operate):
+        rb = () if isinstance(ins.rb, Lit) else (ins.rb.index,)
+        return ins.rc.index, (ins.ra.index, *rb)
+    if isinstance(ins, (Ldq, Lda, Ldah)):
+        return ins.rd.index, (ins.rs.index,)
+    if isinstance(ins, Stq):
+        return None, (ins.rs.index, ins.rd.index)
+    if isinstance(ins, Branch):
+        return None, (ins.rs.index,)
+    if isinstance(ins, Ret):
+        return None, (0,)
+    return None, ()
 
 
 def batch_capability(program: Program,
                      max_steps: int = 1_000_000) -> str | None:
     """Why ``program`` cannot take the compiled batch path, or ``None``.
 
-    The explicit admission-time capability probe: store-bearing and
-    looping programs (the write-capable KV family) are *expected* here,
-    and must route to the generic engine cleanly — this function never
-    raises, and :func:`compile_batch` consults it first so a
-    non-batchable program can never blow up mid-admission.
+    The explicit admission-time capability probe: irreducible control
+    flow and step-limit-reachable loop-free programs are refused with a
+    reason and must route to the generic engine cleanly — this function
+    never raises, and :func:`compile_batch` walks the same block graph,
+    so a non-batchable program can never blow up mid-admission.
     """
-    size = len(program)
-    for pc, instruction in enumerate(program):
-        if isinstance(instruction, Stq):
-            return (f"store at pc={pc}: the driver folds scratch reads "
-                    f"to zero, so stores take the generic engine")
-        if not isinstance(instruction, (Operate, Ldq, Lda, Ldah,
-                                        Branch, Br, Ret)):
-            return (f"unsupported {type(instruction).__name__} "
-                    f"at pc={pc}")  # pragma: no cover - closed class
-    # Same block graph as the compiler, unit costs: detect cycles and
-    # step-limit-reachable worst-case paths without emitting anything.
-    leaders = block_leaders(program)
-    block_len: dict[int, int] = {}
-    for leader in leaders:
-        pc = leader
-        while True:
-            instruction = program[pc]
-            if isinstance(instruction, (Branch, Br, Ret)):
-                pc += 1
-                break
-            pc += 1
-            if pc >= size or pc in leaders:
-                break
-        block_len[leader] = pc - leader
-
-    def successors(leader: int) -> list[int]:
-        last_pc = leader + block_len[leader] - 1
-        last = program[last_pc]
-        if isinstance(last, Ret):
-            return []
-        if isinstance(last, Br):
-            return [last_pc + 1 + last.offset]
-        if isinstance(last, Branch):
-            return [last_pc + 1 + last.offset, last_pc + 1]
-        return [leader + block_len[leader]]
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    steps_from: dict[int, int] = {}
-
-    def visit(leader: int) -> str | None:
-        color[leader] = GREY
-        best = 0
-        for succ in successors(leader):
-            if not 0 <= succ < size:
-                continue
-            state = color.get(succ, WHITE)
-            if state == GREY:
-                return (f"loop through pc={succ}: the inlined tree "
-                        f"would be infinite")
-            if state == WHITE:
-                reason = visit(succ)
-                if reason is not None:
-                    return reason
-            best = max(best, steps_from.get(succ, 0))
-        color[leader] = BLACK
-        steps_from[leader] = block_len[leader] + best
-        return None
-
-    if size:
-        reason = visit(0)
-        if reason is not None:
-            return reason
-        if steps_from[0] >= max_steps:
-            return (f"worst-case path of {steps_from[0]} steps reaches "
-                    f"the {max_steps}-step limit")
-    return None
+    return _Graph(program, max_steps).reason
 
 
 def compile_batch(program: Program, cost_model, plan: FramePlan,
                   max_steps: int = 1_000_000) -> BatchRunner | None:
     """Compile ``program`` into a :class:`BatchRunner`, or ``None`` when
     the program falls outside the fast path's preconditions (see the
-    module docstring) and the caller should use the generic engine."""
-    if batch_capability(program, max_steps) is not None:
+    module docstring) and the caller should use the generic engine.
+
+    Drivers live in the engine's bounded code cache, keyed by
+    ``(program, cost_model, plan, max_steps)``: a re-admitted program
+    reuses its driver the way it reuses its block table."""
+    return cached((program, cost_model, plan, max_steps),
+                  lambda: _compile(program, cost_model, plan, max_steps))
+
+
+def _compile(program: Program, cost_model, plan: FramePlan,
+             max_steps: int) -> BatchRunner | None:
+    graph = _Graph(program, max_steps)
+    if graph.reason is not None:
         return None
-    size = len(program)
     costs = [cost_model.cycles(ins) if cost_model else 1 for ins in program]
-
-    # Block structure, exactly as the engine's superinstruction layer
-    # carves it: the driver must charge cycles and check budgets at the
-    # same boundaries or BudgetExceeded payloads would drift.
-    leaders = block_leaders(program)
-    block_len: dict[int, int] = {}
-    block_cost: dict[int, int] = {}
-    for leader in leaders:
-        pc = leader
-        while True:
-            instruction = program[pc]
-            if isinstance(instruction, (Branch, Br, Ret)):
-                pc += 1
-                break
-            pc += 1
-            if pc >= size or pc in leaders:
-                break
-        block_len[leader] = pc - leader
-        block_cost[leader] = sum(costs[leader:pc])
-
-    def successors(leader: int) -> list[int]:
-        last_pc = leader + block_len[leader] - 1
-        last = program[last_pc]
-        if isinstance(last, Ret):
-            return []
-        if isinstance(last, Br):
-            return [last_pc + 1 + last.offset]
-        if isinstance(last, Branch):
-            return [last_pc + 1 + last.offset, last_pc + 1]
-        return [leader + block_len[leader]]  # fell through into a leader
-
-    # Reject loops and step-limit-reachable programs; compute the DAG
-    # maxima the budget elision and the soundness argument rest on.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    max_cycles: dict[int, int] = {}
-    max_steps_from: dict[int, int] = {}
-
-    def visit(leader: int) -> None:
-        color[leader] = GREY
-        best_c = best_s = 0
-        for succ in successors(leader):
-            if not 0 <= succ < size:
-                continue  # trap: zero further cost
-            state = color.get(succ, WHITE)
-            if state == GREY:
-                raise _Fallback("loop")
-            if state == WHITE:
-                visit(succ)
-            best_c = max(best_c, max_cycles[succ])
-            best_s = max(best_s, max_steps_from[succ])
-        color[leader] = BLACK
-        max_cycles[leader] = block_cost[leader] + best_c
-        max_steps_from[leader] = block_len[leader] + best_s
-
+    block_cost = {leader: sum(costs[leader:leader + count])
+                  for leader, count in graph.length.items()}
+    # A loop-free program's costliest path bounds every run, which is
+    # what lets BatchRunner.run drop the budget compares.
+    max_path_cycles = (None if graph.loops
+                       else graph.longest(block_cost).get(0, 0))
+    slow = _make_slow(program, cost_model, plan, max_steps)
     try:
-        if size:
-            visit(0)
-            if max_steps_from[0] >= max_steps:
-                # The reference could trip its step limit mid-run; the
-                # driver elides that check, so it may not serve here.
-                return None
-        max_path_cycles = max_cycles.get(0, 0)
-        plain = _emit_driver(program, plan, leaders, block_len, block_cost,
-                             budgeted=False)
-        budgeted = _emit_driver(program, plan, leaders, block_len,
-                                block_cost, budgeted=True)
+        plain = _emit_driver(program, plan, graph, block_cost, max_steps,
+                             slow, budgeted=False)
+        budgeted = _emit_driver(program, plan, graph, block_cost,
+                                max_steps, slow, budgeted=True)
     except _Fallback:
         return None
     return BatchRunner(plain, budgeted, max_path_cycles)
@@ -579,7 +717,9 @@ def _tidy(lines: list[str]) -> list[str]:
        are pure single-assignment expressions over dominating names, so
        evaluation can sink from definition to sole use without changing
        any observable — faults included: skipping a pure computation
-       when an intervening load raises is invisible.
+       when an intervening load raises is invisible.  A temporary is
+       not sunk into a deeper ``while`` loop, where it would be
+       recomputed on every iteration.
     """
     kept: list[str] = []
     used: set[str] = set()
@@ -594,12 +734,25 @@ def _tidy(lines: list[str]) -> list[str]:
         used.update(_NAME.findall(match.group(2) if match else body))
     kept.reverse()
 
-    counts: dict[str, int] = {}
+    depths: list[int] = []          # enclosing ``while`` loops per line
+    whiles: list[int] = []
     for line in kept:
+        body = line.lstrip()
+        indent = len(line) - len(body)
+        while whiles and whiles[-1] >= indent:
+            whiles.pop()
+        depths.append(len(whiles))
+        if body == "while True:":
+            whiles.append(indent)
+
+    counts: dict[str, int] = {}
+    use_depth: dict[str, int] = {}
+    for line, depth in zip(kept, depths):
         body = line.lstrip()
         match = _ASSIGN.match(body)
         for name in _NAME.findall(match.group(2) if match else body):
             counts[name] = counts.get(name, 0) + 1
+            use_depth[name] = depth
     inlined: dict[str, str] = {}
 
     def subst(text: str) -> str:
@@ -607,7 +760,7 @@ def _tidy(lines: list[str]) -> list[str]:
                          text)
 
     out: list[str] = []
-    for line in kept:
+    for line, depth in zip(kept, depths):
         body = line.lstrip()
         indent = line[:len(line) - len(body)]
         match = _ASSIGN.match(body)
@@ -615,21 +768,81 @@ def _tidy(lines: list[str]) -> list[str]:
             out.append(indent + subst(body))
             continue
         name, rhs = match.group(1), subst(match.group(2))
-        if counts.get(name, 0) == 1 and "q(" not in rhs \
-                and "edge(" not in rhs:
+        if counts.get(name, 0) == 1 and use_depth[name] == depth \
+                and "q(" not in rhs and "edge(" not in rhs:
             inlined[name] = rhs
             continue
         out.append(f"{indent}{name} = {rhs}")
     return out
 
 
-def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
-                 block_len: dict[int, int], block_cost: dict[int, int],
+class _Path:
+    """One root-to-leaf path's emission state, copied at every fork.
+
+    ``regs`` maps register index to symbolic value; ``memo`` maps a
+    materialized expression text to its temporary.  ``cycles`` and
+    ``steps`` are the path's clock — absolute constants until the path
+    enters a loop (``dynamic`` false), then offsets from the per-frame
+    accumulators ``cy``/``sp``.  ``side`` says whether the local ``st``
+    holds the side region's bytes (always, under a ``kv`` plan; from
+    the path's first side store on, under a re-zeroed one).
+    ``loops`` lists the ``(header, carried locals)`` of the emitted
+    ``while`` loops around this point, outermost first.
+    """
+
+    __slots__ = ("regs", "memo", "cycles", "steps", "dynamic", "side",
+                 "loops")
+
+    def __init__(self, regs: dict, side: bool) -> None:
+        self.regs = regs
+        self.memo: dict[str, str] = {}
+        self.cycles = self.steps = 0
+        self.dynamic = False
+        self.side = side
+        self.loops: tuple = ()
+
+    def fork(self) -> "_Path":
+        twin = _Path(dict(self.regs), self.side)
+        twin.memo = dict(self.memo)
+        twin.cycles, twin.steps = self.cycles, self.steps
+        twin.dynamic, twin.loops = self.dynamic, self.loops
+        return twin
+
+    def clock(self) -> tuple[str, str]:
+        """The cycle and step counts as expression texts."""
+        if not self.dynamic:
+            return str(self.cycles), str(self.steps)
+        return (f"cy + {self.cycles}" if self.cycles else "cy",
+                f"sp + {self.steps}" if self.steps else "sp")
+
+
+def _guards(addr: str, mn: int, mx: int, kz: int, low: int,
+            high: int) -> list[str]:
+    """The tests that ``addr`` is an aligned word address in
+    ``[low, high]``, minus those the range facts already prove."""
+    checks = []
+    if mn < low:
+        checks.append(f"{low} <= {addr}")
+    if mx > high:
+        checks.append(f"{addr} <= {high}")
+    if kz < 3:
+        checks.append(f"not {addr} & 7")
+    return checks
+
+
+def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
+                 block_cost: dict[int, int], max_steps: int, slow,
                  budgeted: bool):
     size = len(program)
+    block_len = graph.length
+    # Per loop header: the longest run to the next header or leaf, so
+    # one compare per iteration keeps the engine's step limit exact.
+    steps_ahead = graph.longest(block_len)
+    pb, sb, ss = plan.packet_base, plan.side_base, plan.side_size
+    side_top = sb + ss - 8
     lines: list[str] = []
     counters: dict[int, str] = {}   # leaf cycles -> counter variable
-    state = {"nodes": 0, "temps": 0}
+    state = {"nodes": 0, "temps": 0, "carried": 0, "hist": False}
 
     def emit(indent: int, text: str) -> None:
         lines.append("    " * indent + text)
@@ -655,62 +868,126 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
             return ("e", assign(val[1], indent, memo)) + tuple(val[2:])
         return val
 
-    def emit_ldq(instruction: Ldq, regs: dict, memo: dict,
-                 indent: int) -> bool:
+    def address_of(base, disp: int, path: _Path, indent: int):
+        """A symbolic address as ``(name, min, max, trailing zeros)``."""
+        aval = _add_const(base, disp) if disp else base
+        mn, mx, kz = _info(aval)
+        name = aval[1]
+        if not name.isidentifier():
+            name = assign(name, indent, path.memo)
+        return name, mn, mx, kz
+
+    def use_side(path: _Path, indent: int) -> None:
+        """Give a re-zeroed side region its bytes on this path, at the
+        first store that may reach it (until then, it reads as 0)."""
+        if not path.side:
+            emit(indent, f"st = bytearray({ss})")
+            path.side = True
+
+    def emit_ldq(instruction: Ldq, path: _Path, indent: int) -> bool:
         """Emit one load; True when the path terminates here (a raise
         that does not depend on the frame)."""
+        regs, memo = path.regs, path.memo
         base = regs.get(instruction.rs.index, _ZERO)
         disp = _sext16(instruction.disp)
-        pb = plan.packet_base
-        sb, ss = plan.scratch_base, plan.scratch_size
+        tail = ", st" if path.side else ""
         if base[0] == "k":
             address = (base[1] + disp) & WORD_MASK
             if address & 7:
                 emit(indent, f'raise MachineError('
                              f'"unaligned LDQ address {address:#x}")')
                 return True
-            if sb <= address and address + 8 <= sb + ss:
-                # Store-free program + scratch re-zeroed per invocation.
-                regs[instruction.rd.index] = _ZERO
+            if sb <= address <= side_top:
+                if not path.side:
+                    # Re-zeroed per invocation and not yet stored to.
+                    regs[instruction.rd.index] = _ZERO
+                    return False
+                name = assign(f"q(st, {address - sb})[0]", indent, memo)
+                regs[instruction.rd.index] = ("e", name, 0, WORD_MASK, 0)
                 return False
             offset = address - pb
             if offset < 0:
-                # Below the packet region and not scratch: unmapped for
-                # every frame, exactly as Memory._find would report.
+                # Below the packet region and not the side region:
+                # unmapped for every frame, as Memory._find would report.
                 emit(indent, f'raise MachineError('
                              f'"unmapped address {address:#x} (size 8)")')
                 return True
             name = assign(f"q(frame, {offset})[0] "
                           f"if flen >= {offset + 8} "
-                          f"else edge({address}, frame, flen)",
+                          f"else edge({address}, frame, flen{tail})",
                           indent, memo)
             regs[instruction.rd.index] = ("e", name, 0, WORD_MASK, 0)
             return False
-        aval = _add_const(base, disp) if disp else base
-        mn, mx, kz = _info(aval)
-        if aval[1].isidentifier():
-            addr = aval[1]
+        addr, mn, mx, kz = address_of(base, disp, path, indent)
+        if path.side and mn <= side_top and mx >= sb:
+            checks = _guards(addr, mn, mx, kz, sb, side_top)
+            rhs = f"q(st, {addr} - {sb})[0]"
+            if checks:
+                rhs += (f" if {' and '.join(checks)} "
+                        f"else edge({addr}, frame, flen, st)")
         else:
-            addr = assign(aval[1], indent, memo)
-        # In-packet fast path; the range facts discharge guard terms
-        # (mn >= base proves the lower bound, kz >= 3 the alignment).
-        checks = []
-        if mn < pb:
-            checks.append(f"{pb} <= {addr}")
-        checks.append(f"{addr} <= flen + {pb - 8}")
-        if kz < 3:
-            checks.append(f"not {addr} & 7")
-        name = assign(f"q(frame, {addr} - {pb})[0] "
-                      f"if {' and '.join(checks)} "
-                      f"else edge({addr}, frame, flen)", indent, memo)
+            # In-packet fast path; the range facts discharge guard terms
+            # (mn >= base proves the lower bound, kz >= 3 the alignment).
+            checks = []
+            if mn < pb:
+                checks.append(f"{pb} <= {addr}")
+            checks.append(f"{addr} <= flen + {pb - 8}")
+            if kz < 3:
+                checks.append(f"not {addr} & 7")
+            rhs = (f"q(frame, {addr} - {pb})[0] "
+                   f"if {' and '.join(checks)} "
+                   f"else edge({addr}, frame, flen{tail})")
+        name = assign(rhs, indent, memo)
         regs[instruction.rd.index] = ("e", name, 0, WORD_MASK, 0)
         return False
 
-    def emit_straightline(instruction, regs: dict, memo: dict,
-                          indent: int) -> bool:
+    def emit_stq(instruction: Stq, path: _Path, indent: int) -> bool:
+        """Emit one store; True when the path terminates here."""
+        regs, memo = path.regs, path.memo
+        base = regs.get(instruction.rd.index, _ZERO)
+        value = str(regs.get(instruction.rs.index, _ZERO)[1])
+        disp = _sext16(instruction.disp)
+        # Loads are pure only between stores.
+        for key in [key for key in memo if "q(" in key or "edge(" in key]:
+            del memo[key]
+        if base[0] == "k":
+            address = (base[1] + disp) & WORD_MASK
+            if address & 7:
+                emit(indent, f'raise MachineError('
+                             f'"unaligned STQ address {address:#x}")')
+                return True
+            if sb <= address <= side_top:
+                use_side(path, indent)
+                emit(indent, f"pack(st, {address - sb}, {value})")
+                return False
+            if address < pb:
+                emit(indent, f'raise MachineError('
+                             f'"unmapped address {address:#x} (size 8)")')
+                return True
+            addr = str(address)
+        else:
+            addr, mn, mx, kz = address_of(base, disp, path, indent)
+            if mn <= side_top and mx >= sb:
+                use_side(path, indent)
+                checks = _guards(addr, mn, mx, kz, sb, side_top)
+                fast = f"pack(st, {addr} - {sb}, {value})"
+                if not checks:
+                    emit(indent, fast)
+                    return False
+                emit(indent, f"if {' and '.join(checks)}:")
+                emit(indent + 1, fast)
+                emit(indent, "else:")
+                indent += 1
+        side = "st" if path.side else "None"
+        emit(indent, f"frame = sedge({addr}, {value}, frame, flen, "
+                     f"{side}, orig)")
+        return False
+
+    def emit_straightline(instruction, path: _Path, indent: int) -> bool:
         state["nodes"] += 1
         if state["nodes"] > _MAX_NODES:
             raise _Fallback("tree too large")
+        regs, memo = path.regs, path.memo
         if isinstance(instruction, Operate):
             a = regs.get(instruction.ra.index, _ZERO)
             if isinstance(instruction.rb, Lit):
@@ -728,7 +1005,9 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
             regs[instruction.rc.index] = value
             return False
         if isinstance(instruction, Ldq):
-            return emit_ldq(instruction, regs, memo, indent)
+            return emit_ldq(instruction, path, indent)
+        if isinstance(instruction, Stq):
+            return emit_stq(instruction, path, indent)
         # Lda / Ldah
         disp = _sext16(instruction.disp)
         if isinstance(instruction, Ldah):
@@ -741,8 +1020,8 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
                                                indent, memo)
         return False
 
-    def emit_leaf(regs: dict, cycles: int, indent: int) -> None:
-        verdict = regs.get(0, _ZERO)
+    def emit_leaf(path: _Path, indent: int) -> None:
+        verdict = path.regs.get(0, _ZERO)
         if verdict[0] == "k":
             if verdict[1]:
                 emit(indent, "accepted += 1")
@@ -754,11 +1033,97 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
                 emit(indent, f"accepted += {verdict[1]}")
             else:
                 emit(indent, f"accepted += 1 if {verdict[1]} else 0")
-        counter = counters.setdefault(cycles, f"h{len(counters)}")
-        emit(indent, f"{counter} += 1")
+        if path.dynamic:
+            cycles = path.clock()[0]
+            emit(indent, f"hd[{cycles}] = hd.get({cycles}, 0) + 1")
+            state["hist"] = True
+        else:
+            counter = counters.setdefault(path.cycles,
+                                          f"h{len(counters)}")
+            emit(indent, f"{counter} += 1")
+        if path.loops:
+            emit(indent, "break")   # the frame is done: leave its loops
 
-    def walk(pc: int, regs: dict, memo: dict, cum_cycles: int,
-             cum_steps: int, indent: int) -> None:
+    def sync(path: _Path, indent: int) -> None:
+        """Fold the path's clock into the per-frame accumulators."""
+        if path.dynamic:
+            if path.cycles:
+                emit(indent, f"cy += {path.cycles}")
+            if path.steps:
+                emit(indent, f"sp += {path.steps}")
+        else:
+            emit(indent, f"cy = {path.cycles}")
+            emit(indent, f"sp = {path.steps}")
+        path.cycles = path.steps = 0
+        path.dynamic = True
+
+    def carry(path: _Path, carried: dict[int, str], indent: int) -> None:
+        """Assign the loop-carried locals at once (a tuple assignment
+        reads every old value before writing any)."""
+        pairs = [(name, str(path.regs.get(reg, _ZERO)[1]))
+                 for reg, name in carried.items()]
+        pairs = [(name, text) for name, text in pairs if name != text]
+        if pairs:
+            emit(indent, ", ".join(name for name, _ in pairs) + " = "
+                 + ", ".join(text for _, text in pairs))
+
+    def loop_edge(pc: int, path: _Path, indent: int) -> None:
+        """Control reaches loop header ``pc``: continue an emitted loop
+        (a back edge) or open a new one."""
+        for depth, (header, carried) in enumerate(path.loops, 1):
+            if header == pc:
+                sync(path, indent)
+                carry(path, carried, indent)
+                if depth == len(path.loops):
+                    emit(indent, "continue")
+                else:
+                    # An outer loop's back edge from inside an inner
+                    # loop: break out, and continue at ``depth``.
+                    emit(indent, f"g = {depth}")
+                    emit(indent, "break")
+                return
+        if len(path.loops) >= _MAX_LOOPS:
+            raise _Fallback("loops nested too deep")
+        loop = graph.loops[pc]
+        sync(path, indent)
+        if loop.stores:
+            use_side(path, indent)
+        carried = {}
+        for reg in loop.carried:
+            state["carried"] += 1
+            carried[reg] = f"v{state['carried']}"
+        carry(path, carried, indent)
+        body = path.fork()
+        body.memo = {}
+        for reg, name in carried.items():
+            body.regs[reg] = ("e", name, 0, WORD_MASK, 0)
+        body.loops = path.loops + ((pc, carried),)
+        emit(indent, "while True:")
+        # Within reach of the step limit: the engine finishes the frame
+        # from this block entry, with its single-step semantics.
+        regs = ", ".join(str(body.regs.get(index, _ZERO)[1])
+                         if index in loop.live else "0"
+                         for index in range(NUM_REGS))
+        side = "st" if body.side else "None"
+        emit(indent + 1, f"if sp > {max_steps - steps_ahead[pc] - 1}:")
+        emit(indent + 2, f"sv, sc = slow({pc}, [{regs}], sp, cy, frame, "
+                         f"{side}{', b' if budgeted else ''})")
+        emit(indent + 2, "accepted += 1 if sv else 0")
+        emit(indent + 2, "hd[sc] = hd.get(sc, 0) + 1")
+        emit(indent + 2, "break")
+        state["hist"] = True
+        walk(pc, body, indent + 1, at_header=True)
+        if path.loops:
+            # The loop ended its frame (or continues an outer loop).
+            if graph.nested:
+                depth = len(path.loops)
+                emit(indent, f"if g == {depth}:")
+                emit(indent + 1, "g = 0")
+                emit(indent + 1, "continue")
+            emit(indent, "break")
+
+    def walk(pc: int, path: _Path, indent: int,
+             at_header: bool = False) -> None:
         if indent > _MAX_DEPTH:
             raise _Fallback("tree too deep")
         while True:
@@ -768,30 +1133,37 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
                 emit(indent,
                      f'raise MachineError("pc {pc} outside program")')
                 return
+            if pc in graph.loops and not at_header:
+                loop_edge(pc, path, indent)
+                return
+            at_header = False
             # Block entry: charge the block, then (budgeted) compare the
-            # now-constant clock, reproducing the budgeted run's payloads.
-            cum_cycles += block_cost[pc]
+            # clock, reproducing the budgeted run's payloads.
+            path.cycles += block_cost[pc]
             if budgeted:
-                emit(indent, f"if {cum_cycles} > b:")
+                cycles, steps = path.clock()
+                shown = (f"{{{cycles}}} cycles after {{{steps}}}"
+                         if path.dynamic else
+                         f"{cycles} cycles after {steps}")
+                emit(indent, f"if {cycles} > b:")
                 emit(indent + 1,
                      f'raise BudgetExceeded(f"exceeded cycle budget '
-                     f'{{b}} ({cum_cycles} cycles after {cum_steps} '
-                     f'steps)", budget=b, cycles={cum_cycles}, '
-                     f'steps={cum_steps})')
-            cum_steps += block_len[pc]
+                     f'{{b}} ({shown} steps)", budget=b, '
+                     f'cycles={cycles}, steps={steps})')
+            path.steps += block_len[pc]
             end = pc + block_len[pc]
             transferred = False
             for p in range(pc, end):
                 instruction = program[p]
                 if isinstance(instruction, Ret):
-                    emit_leaf(regs, cum_cycles, indent)
+                    emit_leaf(path, indent)
                     return
                 if isinstance(instruction, Br):
                     pc = p + 1 + instruction.offset
                     transferred = True
                     break
                 if isinstance(instruction, Branch):
-                    value = regs.get(instruction.rs.index, _ZERO)
+                    value = path.regs.get(instruction.rs.index, _ZERO)
                     taken = p + 1 + instruction.offset
                     if value[0] == "k":
                         pc = (taken
@@ -807,79 +1179,163 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
                         break
                     condition = _branch_cond(instruction.name, value[1],
                                              mx)
-                    taken_regs = dict(regs)
-                    fall_regs = dict(regs)
+                    taken_path = path.fork()
+                    fall_path = path.fork()
                     # BEQ-taken / BNE-fallthrough pin the register to an
                     # exact value; downstream reads of it const-fold.
                     if instruction.name == "BEQ":
-                        taken_regs[instruction.rs.index] = _ZERO
+                        taken_path.regs[instruction.rs.index] = _ZERO
                     elif instruction.name == "BNE":
-                        fall_regs[instruction.rs.index] = _ZERO
+                        fall_path.regs[instruction.rs.index] = _ZERO
                     emit(indent, f"if {condition}:")
-                    walk(taken, taken_regs, dict(memo), cum_cycles,
-                         cum_steps, indent + 1)
+                    walk(taken, taken_path, indent + 1)
                     emit(indent, "else:")
-                    walk(p + 1, fall_regs, dict(memo), cum_cycles,
-                         cum_steps, indent + 1)
+                    walk(p + 1, fall_path, indent + 1)
                     return
-                if emit_straightline(instruction, regs, memo, indent):
+                if emit_straightline(instruction, path, indent):
                     return
             if not transferred:
                 pc = end    # fell through into the next leader (or off
                             # the end, caught by the range check above)
 
-    entry = {1: ("k", plan.packet_base), 2: ("e", "flen", 0, WORD_MASK, 0),
-             3: ("k", plan.scratch_base)}
-    signature = ("frames, start, b" if budgeted else "frames, start")
+    entry = {1: ("k", pb), 2: ("e", "flen", 0, WORD_MASK, 0),
+             3: ("k", sb)}
     emit(1, "try:")
     emit(2, "for frame in (frames[start:] if start else frames):")
     emit(3, "flen = len(frame)")
-    walk(0, entry, {}, 0, 0, 3)
-    pairs = ", ".join(f"({cycles}, {name})"
-                      for cycles, name in sorted(counters.items()))
+    if graph.stores:
+        emit(3, "orig = frame")     # sedge copies the packet on write
+    if graph.nested:
+        emit(3, "g = 0")
+    walk(0, _Path(entry, plan.kv), 3)
+    pairs = "[" + ", ".join(f"({cycles}, {name})" for cycles, name
+                            in sorted(counters.items())) + "]"
     # Frames complete strictly in order and bump exactly one leaf
     # counter each, so the index of the faulting frame is start plus
     # the completed count — no enumerate bookkeeping in the hot loop.
-    fault_index = " + ".join(["start", *counters.values()])
+    completed = ["start", *counters.values()]
+    if state["hist"]:
+        completed.append("sum(hd.values())")
+        pairs = f"merge(hd, {pairs})"
     emit(1, "except MachineError as error:")
-    emit(2, f"return {fault_index}, accepted, [{pairs}], error")
-    emit(1, f"return len(frames), accepted, [{pairs}], None")
+    emit(2, f"return {' + '.join(completed)}, accepted, {pairs}, error")
+    emit(1, f"return len(frames), accepted, {pairs}, None")
     lines = _tidy(lines)
     # Counter zeroing must precede the try block emitted into ``lines``;
-    # q/edge ride as defaults so the hot loop reads locals, not globals.
-    header = [f"def _drive({signature}, q=q, edge=edge):",
-              "    accepted = 0"]
-    counter_init = [f"    {name} = 0" for name in counters.values()]
-    source = "\n".join(header + counter_init + lines)
+    # helpers ride as defaults so the hot loop reads locals, not globals.
+    edge, sedge = _make_edges(plan)
     namespace = {
-        "q": Struct("<Q").unpack_from,
-        "edge": _make_edge(plan),
+        "q": _QUAD.unpack_from,
+        "edge": edge,
+        "pack": _QUAD.pack_into,
+        "sedge": sedge,
+        "slow": slow,
+        "merge": _merge,
         "MachineError": MachineError,
         "BudgetExceeded": BudgetExceeded,
     }
-    exec(compile(source, "<alpha-batch>", "exec"), namespace)
+    helpers = ["q=q", "edge=edge"]
+    if graph.stores:
+        helpers += ["pack=pack", "sedge=sedge"]
+    if graph.loops:
+        helpers.append("slow=slow")
+    signature = "frames, start, st, b" if budgeted else "frames, start, st"
+    header = [f"def _drive({signature}, {', '.join(helpers)}):",
+              "    accepted = 0"]
+    if state["hist"]:
+        header.append("    hd = {}")
+    counter_init = [f"    {name} = 0" for name in counters.values()]
+    source = "\n".join(header + counter_init + lines)
+    try:
+        code = compile(source, "<alpha-batch>", "exec")
+    except (SyntaxError, RecursionError, MemoryError) as error:
+        raise _Fallback(f"driver does not compile: {error}") from None
+    exec(code, namespace)
     return namespace["_drive"]
 
 
-def _make_edge(plan: FramePlan):
-    """The out-of-line load path: padded-tail words, scratch reads, and
-    the reference's unaligned/unmapped faults — bit-exact with
-    :meth:`repro.alpha.machine.Memory.load_quad` over a rebound
-    reusable packet memory running a store-free program."""
-    pb, sb, ss = plan
-    unpack = Struct("<Q").unpack_from
+def _merge(hist: dict, pairs: list) -> list:
+    """The driver's dynamic-cycle histogram plus its per-leaf counters,
+    as ``(cycles, count)`` pairs with each cycle count once."""
+    for cycles, count in pairs:
+        if count:
+            hist[cycles] = hist.get(cycles, 0) + count
+    return list(hist.items())
 
-    def edge(address: int, frame, flen: int) -> int:
+
+def _make_edges(plan: FramePlan):
+    """The out-of-line memory paths, bit-exact with :meth:`repro.alpha
+    .machine.Memory.load_quad` and :meth:`~repro.alpha.machine.Memory
+    .store_quad` over the plan's reusable memory: padded-tail words,
+    side-region words the inline guards did not take, packet stores,
+    and the reference's unaligned/unmapped/read-only faults."""
+    pb, sb, ss, packet_writable = plan
+    unpack = _QUAD.unpack_from
+    pack = _QUAD.pack_into
+
+    def edge(address: int, frame, flen: int, st=None) -> int:
         if address & 7:
             raise MachineError(f"unaligned LDQ address {address:#x}")
         offset = address - pb
         if 0 <= offset and offset + 8 <= flen + (-flen % 8):
-            if offset + 8 <= flen:
+            if offset + 8 <= len(frame):
                 return unpack(frame, offset)[0]
             # The zero-padded tail word of the packet region.
             return int.from_bytes(frame[offset:], "little")
         if sb <= address and address + 8 <= sb + ss:
-            return 0  # scratch: zeroed per invocation, never written
+            # No live bytes: a re-zeroed side region not yet written.
+            return 0 if st is None else unpack(st, address - sb)[0]
         raise MachineError(f"unmapped address {address:#x} (size 8)")
 
-    return edge
+    def sedge(address: int, value: int, frame, flen: int, st, orig):
+        """Store ``value``; returns the frame buffer later loads read
+        (the first packet store swaps in a padded private copy)."""
+        if address & 7:
+            raise MachineError(f"unaligned STQ address {address:#x}")
+        offset = address - pb
+        if 0 <= offset and offset + 8 <= flen + (-flen % 8):
+            if not packet_writable:
+                raise MachineError(f"write to read-only region 'packet' "
+                                   f"at {address:#x}")
+            if frame is orig:
+                frame = bytearray(frame)
+                frame.extend(bytes(-flen % 8))
+            pack(frame, offset, value)
+            return frame
+        if sb <= address and address + 8 <= sb + ss:
+            pack(st, address - sb, value)
+            return frame
+        raise MachineError(f"unmapped address {address:#x} (size 8)")
+
+    return edge, sedge
+
+
+def _make_slow(program: Program, cost_model, plan: FramePlan,
+               max_steps: int):
+    """The hand-over to the engine for a frame within reach of the step
+    limit: rebuild the plan's memory around the frame buffer and the
+    side bytes, resume the engine's run loop at the loop header, and
+    copy the side region back (also when the run faults)."""
+    engine = None
+
+    def slow(pc: int, regs: list, steps: int, cycles: int, frame, st,
+             budget: int | None = None) -> tuple[int, int]:
+        nonlocal engine
+        if engine is None:
+            engine = ExecutionEngine(program, cost_model, max_steps)
+        memory = Memory()
+        memory.map_region(plan.packet_base,
+                          bytes(frame) + bytes(-len(frame) % 8),
+                          writable=plan.kv, name="packet")
+        memory.map_region(plan.side_base,
+                          bytes(plan.side_size) if st is None else st,
+                          writable=True, name="side")
+        try:
+            result = engine.resume(memory, [int(value) for value in regs],
+                                   pc, steps, cycles, budget)
+        finally:
+            if st is not None:
+                st[:] = memory.region("side")
+        return result.value, result.cycles
+
+    return slow

@@ -44,8 +44,9 @@ every pc treated as a leader.  That table is built lazily, the first
 time a run comes within one block of the limit.
 
 Unchecked translations are cached per ``(program, cost_model)`` in a
-module-level code cache: the perf harness compiles each filter once and
-reuses it across all 200,000 packets.  Checked translations capture
+bounded module-level code cache (which also holds the batch drivers of
+:mod:`repro.alpha.batch`): the perf harness compiles each filter once
+and reuses it across all 200,000 packets.  Checked translations capture
 per-run predicates and are rebuilt per engine.
 
 The engine is *bit-identical* to the reference machine — same
@@ -167,6 +168,27 @@ def clear_code_cache() -> None:
     _CODE_CACHE.clear()
 
 
+def cached(key, build):
+    """``build()``, memoized in the bounded code cache under ``key``.
+
+    Shared by the block tables here and the batch drivers of
+    :mod:`repro.alpha.batch` (their keys have different shapes).  An
+    unhashable key (a custom cost model) builds afresh every time, and
+    a ``None`` result is not cached.
+    """
+    try:
+        hit = _CODE_CACHE.get(key)
+    except TypeError:           # unhashable custom cost model
+        return build()
+    if hit is None:
+        hit = build()
+        if hit is not None:
+            if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+                _CODE_CACHE.clear()
+            _CODE_CACHE[key] = hit
+    return hit
+
+
 def compile_program(program: Program, cost_model=None,
                     check_read: CheckHook | None = None,
                     check_write: CheckHook | None = None,
@@ -177,18 +199,8 @@ def compile_program(program: Program, cost_model=None,
     closures and are always rebuilt (the hooks embed per-run state).
     """
     if check_read is None and check_write is None:
-        key = (program, cost_model)
-        try:
-            cached = _CODE_CACHE.get(key)
-        except TypeError:           # unhashable custom cost model
-            return CompiledCode(program, cost_model, None, None)
-        if cached is not None:
-            return cached
-        compiled = CompiledCode(program, cost_model, None, None)
-        if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
-            _CODE_CACHE.clear()
-        _CODE_CACHE[key] = compiled
-        return compiled
+        return cached((program, cost_model),
+                      lambda: CompiledCode(program, cost_model, None, None))
     return CompiledCode(program, cost_model, check_read, check_write)
 
 
@@ -302,6 +314,16 @@ class ExecutionEngine:
         except MachineError as error:
             return index, accepted, list(hist.items()), error
         return len(frames), accepted, list(hist.items()), None
+
+    def resume(self, memory: Memory, regs: list, pc: int, steps: int,
+               cycles: int, cycle_budget: int | None = None
+               ) -> MachineResult:
+        """Continue a run at the entry of the block at ``pc`` with the
+        register list, step and cycle counts already reached — the
+        hand-over point of :mod:`repro.alpha.batch` drivers whose frame
+        comes within reach of the step limit."""
+        return self._execute(self._code.blocks, regs, memory, pc, steps,
+                             cycles, cycle_budget)
 
     def _execute(self, code: CodeTable, regs: list, memory: Memory,
                  pc: int, steps: int, cycles: int,

@@ -225,10 +225,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"({report.modeled_seconds * 1e3:.1f} ms)")
     print(f"  python:   {report.wall_packets_per_second:,.0f} pkts/s "
           f"wall ({report.wall_seconds * 1e3:.1f} ms)")
-    print(f"\n{'extension':12} {'state':12} {'in':>9} {'accept':>9} "
-          f"{'fault':>6} {'p50cy':>7} {'p99cy':>7}")
+    print(f"\n{'extension':12} {'state':12} {'tier':8} {'in':>9} "
+          f"{'accept':>9} {'fault':>6} {'p50cy':>7} {'p99cy':>7}")
     for extension in snapshot.extensions:
         print(f"{extension.name:12} {extension.state:12} "
+              f"{extension.tier:8} "
               f"{extension.packets_in:>9} {extension.accepted:>9} "
               f"{extension.faults:>6} {extension.p50_cycles:>7.0f} "
               f"{extension.p99_cycles:>7.0f}"

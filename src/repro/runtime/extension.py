@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.alpha.engine import ExecutionEngine
-from repro.alpha.isa import Program
+from repro.alpha.isa import Program, Stq
 from repro.pcc.validate import ValidationReport
 from repro.runtime.telemetry import ExtensionSnapshot, hist_percentile
 
@@ -91,8 +91,13 @@ class RuntimeExtension:
         #: :func:`repro.alpha.batch.compile_batch`, or None when the
         #: program (or the runtime's invocation contract) falls outside
         #: the fast path — dispatch then batches through the generic
-        #: :meth:`ExecutionEngine.run_batch` instead.
+        #: :meth:`ExecutionEngine.run_batch` instead, and
+        #: ``tier_reason`` says why.
         self.batch_runner = None
+        self.tier_reason: str | None = None
+        #: Whether the program holds an STQ: store-bearing extensions
+        #: sharing a shard's persistent state must run frame-major.
+        self.stores = any(isinstance(ins, Stq) for ins in program)
         # Per-extension invocation budget, resolved at admission: a
         # fixed config value, a WCET-derived bound (cycle_budget="auto"),
         # or None for unbudgeted dispatch.  ``wcet_bound`` records the
@@ -164,11 +169,22 @@ class RuntimeExtension:
             self.engine = candidate.engine
             self.shard_engines = candidate.shard_engines
             self.batch_runner = candidate.batch_runner
+            self.tier_reason = candidate.tier_reason
+            self.stores = candidate.stores
             self.cycle_budget = candidate.cycle_budget
             self.wcet_bound = candidate.wcet_bound
             self.version = candidate.version
             self.consecutive_faults = 0
             self.last_fault = None
+
+    @property
+    def tier(self) -> str:
+        """Where invocations run: ``batch`` (a compiled driver),
+        ``engine`` (the generic block engine) or ``checked`` (the
+        abstract machine's rd()/wr() checks)."""
+        if self.checked:
+            return "checked"
+        return "engine" if self.batch_runner is None else "batch"
 
     # -- aggregation -----------------------------------------------------
 
@@ -199,6 +215,8 @@ class RuntimeExtension:
             cycle_budget=self.cycle_budget,
             wcet_cycles=self.wcet_bound,
             version=self.version,
+            tier=self.tier,
+            tier_reason=self.tier_reason,
             canary=(self.canary.snapshot()
                     if self.canary is not None else None),
         )

@@ -44,7 +44,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.alpha.batch import FramePlan, compile_batch
+from repro.alpha.batch import FramePlan, batch_capability, compile_batch
 from repro.alpha.encoding import decode_program
 from repro.alpha.engine import ExecutionEngine
 from repro.alpha.abstract import make_check_hooks
@@ -53,6 +53,12 @@ from repro.errors import (
     PccError,
     UnknownExtensionError,
     ValidationError,
+)
+from repro.filters.kv import (
+    KV_STATE_BASE,
+    STATE_SIZE,
+    kv_registers,
+    reusable_kv_memory,
 )
 from repro.filters.policy import (
     PACKET_BASE,
@@ -70,6 +76,18 @@ from repro.runtime.shard import Shard
 from repro.runtime.telemetry import RuntimeSnapshot
 from repro.runtime.versions import CanaryConfig, ShadowCanary, UpgradeRecord
 from repro.vcgen.policy import SafetyPolicy
+
+
+#: The invocation contracts the batch compiler specializes against, by
+#: (memory factory, register convention).  A runtime configured with any
+#: other pair gets no frame plan, and every unchecked extension batches
+#: through the generic engine loop instead.
+_FRAME_PLANS = {
+    (reusable_packet_memory, filter_registers):
+        FramePlan(PACKET_BASE, SCRATCH_BASE, SCRATCH_SIZE),
+    (reusable_kv_memory, kv_registers):
+        FramePlan(PACKET_BASE, KV_STATE_BASE, STATE_SIZE, kv=True),
+}
 
 
 @dataclass(frozen=True)
@@ -130,16 +148,12 @@ class PacketRuntime:
         self.contract_drops = 0
         self.upgrade_log: list[UpgradeRecord] = []
         self.last_supervisor_report = None
-        # Batch compilation specializes against the *standard* packet-
-        # filter invocation contract; a runtime configured with custom
-        # memory/register callables gets no frame plan and every
-        # extension batches through the generic engine loop instead.
-        if (self.config.memory_factory is reusable_packet_memory
-                and self.config.registers_fn is filter_registers):
-            self._frame_plan = FramePlan(PACKET_BASE, SCRATCH_BASE,
-                                         SCRATCH_SIZE)
-        else:
-            self._frame_plan = None
+        self._frame_plan = _FRAME_PLANS.get(
+            (self.config.memory_factory, self.config.registers_fn))
+        if self._frame_plan is not None and self._frame_plan.kv:
+            # The compiled drivers update each shard's live state bytes.
+            for shard in self.shards:
+                shard.state = shard.memory.region("state")
 
     # -- admission (the only way in is through the loader) ---------------
 
@@ -183,17 +197,29 @@ class PacketRuntime:
             checked=False, shards=config.shards)
         extension.engine = ExecutionEngine(
             report.program, config.cost_model, config.max_steps)
-        extension.batch_runner = self._batch_runner_for(report.program)
+        self._bind_batch_runner(extension)
         return extension
 
-    def _batch_runner_for(self, program):
-        """The specialized whole-batch driver for an unchecked program,
-        or None when the program (loops, stores, size) or this runtime's
-        invocation contract falls outside the fast path."""
-        if self._frame_plan is None:
-            return None
-        return compile_batch(program, self.config.cost_model,
-                             self._frame_plan, self.config.max_steps)
+    def _bind_batch_runner(self, extension: RuntimeExtension) -> None:
+        """Give an unchecked extension its specialized whole-batch
+        driver, or record why it runs on the generic engine: this
+        runtime's invocation contract has no frame plan, or the program
+        falls outside the compiled path (irreducible flow, size)."""
+        plan = self._frame_plan
+        config = self.config
+        runner = reason = None
+        if plan is None:
+            reason = ("custom invocation contract: no frame plan for "
+                      "this memory factory and register convention")
+        else:
+            runner = compile_batch(extension.program, config.cost_model,
+                                   plan, config.max_steps)
+            if runner is None:
+                reason = (batch_capability(extension.program,
+                                           config.max_steps)
+                          or "the inlined driver exceeds its size caps")
+        extension.batch_runner = runner
+        extension.tier_reason = reason
 
     def _resolve_budget(self, extension: RuntimeExtension) -> None:
         """Fix the extension's per-invocation budget at admission.
@@ -234,6 +260,8 @@ class PacketRuntime:
         extension = RuntimeExtension(
             name, blob, digest, program, report=None, checked=True,
             shards=self.config.shards)
+        extension.tier_reason = ("failed validation: downgraded to the "
+                                 "checked tier")
         extension.shard_engines = [
             ExecutionEngine(program, self.config.cost_model,
                             self.config.max_steps,
@@ -297,8 +325,7 @@ class PacketRuntime:
                 extension.engine = ExecutionEngine(
                     report.program, self.config.cost_model,
                     self.config.max_steps)
-                extension.batch_runner = self._batch_runner_for(
-                    report.program)
+                self._bind_batch_runner(extension)
         self._resolve_budget(extension)
         extension.reinstate()
         return extension
@@ -439,11 +466,14 @@ class PacketRuntime:
 
     def serve(self, frames) -> DispatchReport:
         """Parallel dispatch: one worker thread per shard, frames
-        interleaved round-robin so the modeled cores stay balanced.
+        interleaved round-robin so the modeled cores stay balanced.  A
+        one-shard runtime dispatches on the calling thread instead.
 
         Verdicts, cycle clocks, and per-extension counters are
         bit-identical to :meth:`dispatch`; only ``wall_seconds`` depends
-        on the threads (whose wall throughput is GIL-bound).
+        on the threads (whose wall throughput is GIL-bound).  A worker
+        that raises does not lose its error: every worker is joined,
+        then the first exception (by shard index) is re-raised.
         """
         frames = list(frames)
         kept, drops = self._apply_contract(frames)
@@ -452,18 +482,30 @@ class PacketRuntime:
         shards = self.shards
         count = len(shards)
         before = [shard.cycles for shard in shards]
-        workers = [
-            threading.Thread(
-                target=shard.dispatch,
-                args=(kept[index::count], extensions, self.policy),
-                name=f"pcc-shard-{index}", daemon=True)
-            for index, shard in enumerate(shards)
-        ]
         started = time.perf_counter()
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        if count == 1:
+            shards[0].dispatch(kept, extensions, self.policy)
+        else:
+            errors: list[BaseException | None] = [None] * count
+
+            def work(index: int) -> None:
+                try:
+                    shards[index].dispatch(kept[index::count], extensions,
+                                           self.policy)
+                except BaseException as error:  # re-raised by serve()
+                    errors[index] = error
+
+            workers = [threading.Thread(target=work, args=(index,),
+                                        name=f"pcc-shard-{index}",
+                                        daemon=True)
+                       for index in range(count)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+            for error in errors:
+                if error is not None:
+                    raise error
         wall = time.perf_counter() - started
         return DispatchReport(
             packets=len(kept), contract_drops=drops, wall_seconds=wall,

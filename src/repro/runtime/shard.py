@@ -18,15 +18,23 @@ engine; downgraded extensions run on this shard's checked engine, whose
 rd()/wr() hooks consult predicates rebound per packet from the policy's
 ``make_checkers``.
 
-Dispatch is **extension-major and batched** on the throughput path: each
-chunk of frames runs through one extension at a time via its compiled
-batch runner (:mod:`repro.alpha.batch`) or the engine's generic
-:meth:`~repro.alpha.engine.ExecutionEngine.run_batch`, so the per-packet
-Python dispatch toll is paid once per chunk instead of once per
-invocation.  The reordering is sound because an invocation is a pure
-function of the frame bytes — the packet region is rebound and the
-scratch region re-zeroed before every run — so per-extension counters,
-cycle totals, verdicts, and the fault/quarantine protocol come out
+Dispatch is **batched** on the throughput path: frames run through an
+extension's compiled batch runner (:mod:`repro.alpha.batch`) or the
+engine's generic :meth:`~repro.alpha.engine.ExecutionEngine.run_batch`,
+so the per-packet Python dispatch toll is paid once per segment instead
+of once per invocation.  Each chunk runs **extension-major** — all its
+frames through one extension, then the next — when that reordering is
+unobservable: an invocation sees its frame (the packet region is
+rebound before every run, so one extension's packet rewrites never
+reach another) plus the shard's side region, and the side region only
+carries state *between* invocations for store-bearing extensions (the
+BPF scratch is re-zeroed per run).  With one active extension the order
+of its own invocations is unchanged; with several, any of which stores,
+one extension's state writes would reach another's invocations in a
+different order, so the chunk runs **frame-major** — every extension
+over frame 1, then frame 2 — still through the batch runners, one frame
+per segment.  Either way per-extension counters, cycle totals, verdicts,
+side-region bytes and the fault/quarantine protocol come out
 bit-identical to the frame-major reference loop (``_dispatch_frames``),
 which still serves the checked tier, canary shadowing, and
 verdict-collecting callers.
@@ -58,6 +66,9 @@ class Shard:
         self.config = config
         self.memory, self.rebind = config.memory_factory()
         self.registers_fn = config.registers_fn
+        #: The live bytes of a persistent side region the batch runners
+        #: update in place (set by the runtime under the KV contract).
+        self.state: bytearray | None = None
         self.cycles = 0
         self.packets = 0
         # Shadow-canary work is clocked separately: candidate cycles
@@ -104,22 +115,33 @@ class Shard:
             return records
         if not isinstance(frames, (list, tuple)):
             frames = list(frames)
+        active = [extension for extension in extensions
+                  if extension.active]
+        frame_major = (len(active) > 1
+                       and any(extension.stores for extension in active))
         batch_size = self.config.batch_size
         for start in range(0, len(frames), batch_size):
             chunk = frames[start:start + batch_size]
-            for extension in extensions:
-                if not extension.active:
-                    continue
-                if extension.checked or extension.canary is not None:
-                    # The checked tier rebinds rd()/wr() predicates per
-                    # packet and canaries shadow per packet: both stay
-                    # on the frame-major reference loop.
-                    self._dispatch_frames(chunk, (extension,), policy,
-                                          False)
-                else:
-                    self._dispatch_batch(chunk, extension)
+            if frame_major:
+                for frame in chunk:
+                    self._dispatch_chunk([frame], extensions, policy)
+            else:
+                self._dispatch_chunk(chunk, extensions, policy)
         self.packets += len(frames)
         return None
+
+    def _dispatch_chunk(self, chunk, extensions, policy) -> None:
+        """Run ``chunk`` through each active extension in turn."""
+        for extension in extensions:
+            if not extension.active:
+                continue
+            if extension.checked or extension.canary is not None:
+                # The checked tier rebinds rd()/wr() predicates per
+                # packet and canaries shadow per packet: both stay on
+                # the frame-major reference loop.
+                self._dispatch_frames(chunk, (extension,), policy, False)
+            else:
+                self._dispatch_batch(chunk, extension)
 
     def _dispatch_batch(self, frames, extension) -> None:
         """Extension-major fast path: one engine entry per segment,
@@ -136,7 +158,7 @@ class Shard:
         while start < total and extension.active:
             if runner is not None:
                 done, accepted, pairs, error = runner.run(
-                    frames, start, budget)
+                    frames, start, budget, self.state)
             else:
                 done, accepted, pairs, error = engine.run_batch(
                     self.memory, self.rebind, frames,

@@ -90,6 +90,10 @@ class ExtensionSnapshot:
     #: is in flight, the shadow canary's ledger (None otherwise).
     version: int = 1
     canary: dict | None = None
+    #: The execution tier (``batch``, ``engine`` or ``checked``) and,
+    #: off the compiled path, why — e.g. the batch compiler's refusal.
+    tier: str = "engine"
+    tier_reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +114,8 @@ class ExtensionSnapshot:
             "wcet_cycles": self.wcet_cycles,
             "version": self.version,
             "canary": self.canary,
+            "tier": self.tier,
+            "tier_reason": self.tier_reason,
         }
 
 

@@ -1,6 +1,6 @@
 """Random program generators shared by the property-based suites.
 
-Two flavours:
+Three flavours:
 
 * :func:`random_filter_source` emits assembly *source* for well-formed
   packet filters whose memory accesses stay inside the policy's
@@ -13,6 +13,11 @@ Two flavours:
   errors, abstract-machine blocking, and the step limit — so the
   differential engine suite can compare the reference interpreter and
   the threaded-code engine on the full outcome space.
+* :func:`random_kv_loop_source` emits store-bearing *loops*: bounded
+  scans over the KV state area that store to the state and the packet,
+  with diamonds, early exits, sequential and nested scans, and
+  sometimes a bound or stride that runs off the state area mid-scan —
+  the compiled-vs-generic batch suite's loop shapes.
 """
 
 from __future__ import annotations
@@ -99,6 +104,85 @@ def random_kv_source(rng: random.Random, blocks: int) -> str:
                          f"{rng.choice(_STATE_OFFSETS)}(r3)")
             lines.append(f"{label}: SUBQ r0, r0, r0")
     lines.append("CMPEQ r4, r5, r0")
+    lines.append("RET")
+    return "\n".join(lines)
+
+
+def _scan_body(rng: random.Random, label: str, lines: list[str]) -> None:
+    """The body of one scan: load the state word at r3 + r4, scramble
+    it, store it back (sometimes behind a diamond), and maybe store to
+    or reload from the packet, bump the verdict, or exit early."""
+    lines.append("ADDQ r3, r4, r5")
+    lines.append("LDQ r6, 0(r5)")
+    for _ in range(rng.randrange(3)):
+        op = rng.choice(("ADDQ", "XOR", "SRL", "BIS", "EXTBL"))
+        lines.append(f"{op} r6, {rng.randrange(1, 40)}, r6")
+    if rng.random() < 0.5:
+        lines.append(f"BEQ r6, {label}_skip")
+    lines.append("STQ r6, 0(r5)")
+    if rng.random() < 0.5:
+        lines.append("LDQ r8, 0(r5)")        # reload what was stored
+        lines.append("ADDQ r0, r8, r0")
+    if rng.random() < 0.5:
+        offset = rng.choice(_SAFE_OFFSETS)
+        lines.append(f"LDQ r7, {offset}(r1)")
+        lines.append(f"STQ r6, {offset}(r1)")
+        lines.append(f"LDQ r7, {rng.choice((offset, offset, 0))}(r1)")
+        lines.append("ADDQ r0, r7, r0")
+    if rng.random() < 0.3:
+        lines.append(f"CMPULT r6, {rng.randrange(1, 256)}, r8")
+        lines.append("BNE r8, done")
+    lines.append(f"{label}_skip: ADDQ r0, 1, r0")
+
+
+def random_kv_loop_source(rng: random.Random, loops: int) -> str:
+    """A random store-bearing program of ``loops`` scans over the KV
+    state area (see the module docstring).  Bounds and strides are
+    mostly in range; the rest fault mid-scan after partial stores."""
+    lines = ["SUBQ r0, r0, r0"]
+    if rng.random() < 0.5:
+        lines.append(f"LDQ r7, {rng.choice(_SAFE_OFFSETS)}(r1)")
+    if rng.random() < 0.5:
+        lines.append("STQ r3, 40(r1)")           # reloaded at the end
+    for index in range(loops):
+        label = f"s{index}"
+        bound = rng.choice((8, 32, 64, 128, 160, 160, 168, 200))
+        stride = rng.choice((8, 8, 8, 16, 4))
+        lines.append("SUBQ r4, r4, r4")
+        lines.append(f"BR {label}_check")
+        lines.append(f"{label}_loop:")
+        if rng.random() < 0.3:
+            # Rotate two registers across iterations (r10 takes r9's old
+            # value): carried locals must be assigned simultaneously.
+            lines.append("ADDQ r0, r10, r0")
+            lines.append("BIS r9, r9, r10")
+            lines.append("ADDQ r4, 3, r9")
+        elif rng.random() < 0.3:
+            # A nested scan over the first words, rerun per outer slot;
+            # it keeps its own offset in r9 and restores none of r4.
+            lines.append("BIS r4, r4, r9")
+            lines.append("SUBQ r10, r10, r10")
+            lines.append(f"BR {label}_ncheck")
+            lines.append(f"{label}_nloop: ADDQ r3, r10, r5")
+            lines.append("LDQ r6, 0(r5)")
+            lines.append("ADDQ r6, 1, r6")
+            lines.append("STQ r6, 0(r5)")
+            lines.append("ADDQ r10, 8, r10")
+            lines.append(f"{label}_ncheck: CMPULT r10, 16, r5")
+            lines.append(f"BNE r5, {label}_nloop")
+            lines.append("BIS r9, r9, r4")
+        _scan_body(rng, label, lines)
+        lines.append(f"ADDQ r4, {stride}, r4")
+        lines.append(f"{label}_check: CMPULT r4, {bound}, r5")
+        lines.append(f"BNE r5, {label}_loop")
+        lines.append("LDQ r8, 0(r3)")            # what the scan left
+        lines.append("ADDQ r0, r8, r0")
+    for offset in (0, 40, 48):                       # and the packet
+        lines.append(f"LDQ r8, {offset}(r1)")
+        lines.append("ADDQ r0, r8, r0")
+    # The verdict's truthiness is all a batch run reports of r0: keep
+    # its value observable in the side region.
+    lines.append("done: STQ r0, 8(r3)")
     lines.append("RET")
     return "\n".join(lines)
 

@@ -15,7 +15,11 @@ Three layers of the same claim, each checked property-based:
 * **compiled vs generic** — :func:`repro.alpha.batch.compile_batch`
   drivers must equal the generic ``run_batch`` on random certifiable
   filter shapes and on the paper filters, across frame degeneracies
-  (empty, unaligned, sub-contract lengths) and budgets.
+  (empty, unaligned, sub-contract lengths) and budgets — and, for the
+  store-bearing family, on random scan loops and the four certified KV
+  binaries under both invocation contracts, with budgets that trip
+  mid-loop after partial stores, machine faults and step limits,
+  comparing the side-region bytes after every resumed segment.
 
 Multi-shard runs with faults in flight are only *end-state* comparable:
 the instant of the quarantine flip is scheduling-dependent (threads read
@@ -35,6 +39,14 @@ from repro.alpha.batch import FramePlan, compile_batch
 from repro.alpha.engine import ExecutionEngine
 from repro.alpha.parser import parse_program
 from repro.errors import BudgetExceeded, MachineError
+from repro.filters.kv import (
+    KV_PROGRAMS,
+    KV_STATE_BASE,
+    STATE_SIZE,
+    kv_packet_policy,
+    kv_registers,
+    reusable_kv_memory,
+)
 from repro.filters.policy import (
     PACKET_BASE,
     SCRATCH_BASE,
@@ -42,13 +54,33 @@ from repro.filters.policy import (
     filter_registers,
     reusable_packet_memory,
 )
-from repro.filters.trace import TraceConfig, generate_trace
+from repro.filters.trace import (
+    KvTraceConfig,
+    TraceConfig,
+    generate_adversarial_trace,
+    generate_kv_trace,
+    generate_trace,
+)
+from repro.pcc import certify
 from repro.perf.cost import ALPHA_175
 from repro.runtime import PacketRuntime, RuntimeConfig
 
-from tests.generators import random_filter_source, random_machine_program
+from tests.generators import (
+    random_filter_source,
+    random_kv_loop_source,
+    random_kv_source,
+    random_machine_program,
+)
 
 PLAN = FramePlan(PACKET_BASE, SCRATCH_BASE, SCRATCH_SIZE)
+KV_PLAN = FramePlan(PACKET_BASE, KV_STATE_BASE, STATE_SIZE, kv=True)
+
+#: (plan, memory factory, register convention, side region name): the
+#: two invocation contracts a compiled driver may be specialized to.
+CONTRACTS = {
+    "filter": (PLAN, reusable_packet_memory, filter_registers, "scratch"),
+    "kv": (KV_PLAN, reusable_kv_memory, kv_registers, "state"),
+}
 
 #: Frames that poke every edge of the driver's load guards: empty,
 #: single byte, one-short-of-aligned, exactly one word, unaligned tail,
@@ -295,3 +327,140 @@ def test_paper_filters_compiled_vs_generic(certified_filters, budget):
             if error is None:
                 break
             start = done + 1
+
+
+# -- compiled vs generic: stores and loops --------------------------------
+
+
+def _segments_agree(program, contract, frames, budget, state=b"",
+                    max_steps=1_000_000):
+    """Walk ``frames`` segment by segment exactly as
+    Shard._dispatch_batch does (resume one past each fault), running the
+    compiled driver and the generic engine side by side from the same
+    side-region bytes; every segment's outcome and the side bytes after
+    it must agree."""
+    plan, memory_factory, registers_fn, region = contract
+    runner = compile_batch(program, ALPHA_175, plan, max_steps)
+    assert runner is not None
+    engine = ExecutionEngine(program, ALPHA_175, max_steps)
+    memory, rebind = memory_factory()
+    side = memory.region(region)
+    live = bytearray(side)
+    if state and plan.kv:
+        side[:] = live[:] = state
+    start = 0
+    while start <= len(frames):
+        got = runner.run(frames, start, budget, live)
+        want = engine.run_batch(memory, rebind, frames, registers_fn,
+                                start, budget)
+        assert _normalize(got) == _normalize(want), start
+        if plan.kv:
+            assert live == side, start
+        done, _, _, error = got
+        if error is None:
+            return
+        start = done + 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), loops=st.integers(1, 3),
+       contract=st.sampled_from(sorted(CONTRACTS)),
+       budget=st.sampled_from([None, 20, 90, 250, 700, 100_000]),
+       max_steps=st.sampled_from([1_000_000, 120, 400]),
+       state=st.binary(min_size=STATE_SIZE, max_size=STATE_SIZE))
+def test_compiled_runner_matches_generic_on_kv_loops(
+        seed, loops, contract, budget, max_steps, state):
+    """Random scan loops with state and packet stores, diamonds, early
+    exits and nested scans: budgets that trip mid-loop after partial
+    stores, off-the-end and unaligned faults, read-only packet writes
+    (filter contract) and the step-limit hand-over all land exactly as
+    the generic engine's, segment after segment."""
+    rng = random.Random(seed)
+    program = parse_program(random_kv_loop_source(rng, loops))
+    frames = DEGENERATE_FRAMES + [bytes(rng.randrange(256)
+                                        for _ in range(n))
+                                  for n in (64, 64, 71, 200)]
+    _segments_agree(program, CONTRACTS[contract], frames, budget, state,
+                    max_steps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 8),
+       contract=st.sampled_from(sorted(CONTRACTS)),
+       budget=st.sampled_from([None, 9, 30, 100_000]))
+def test_compiled_runner_matches_generic_on_kv_stores(seed, blocks,
+                                                      contract, budget):
+    """Loop-free store-bearing shapes: stores behind diamonds, reloads
+    after stores, and (filter contract) a re-zeroed scratch written
+    mid-path."""
+    rng = random.Random(seed)
+    program = parse_program(random_kv_source(rng, blocks))
+    frames = DEGENERATE_FRAMES + [bytes(rng.randrange(256)
+                                        for _ in range(n))
+                                  for n in (64, 80, 1518)]
+    _segments_agree(program, CONTRACTS[contract], frames, budget)
+
+
+#: A scan whose longest iteration ends in its store: a driver that let
+#: that block cross the step limit would store where the engine stops.
+STORE_LAST_SCAN = """
+        SUBQ   r4, r4, r4
+        BR     check
+loop:   ADDQ   r3, r4, r5
+        LDQ    r6, 0(r5)
+        ADDQ   r6, 1, r6
+        ADDQ   r4, 8, r4
+        STQ    r6, 0(r5)
+check:  CMPULT r4, 128, r7
+        BNE    r7, loop
+        RET
+"""
+
+
+def test_step_limit_hand_over_at_every_limit():
+    """Every step limit across a scan's length: the driver hands its
+    frame to the engine at a loop header before any block could cross
+    the limit, so the limit error, the stores before it (or a completed
+    frame) land as the engine's do at each one."""
+    rng = random.Random(7)
+    frames = [bytes(rng.randrange(256) for _ in range(n))
+              for n in (64, 80, 96)]
+    state = bytes(range(STATE_SIZE))
+    runs = [(spec.program, CONTRACTS["kv"]) for spec in KV_PROGRAMS]
+    runs.append((parse_program(STORE_LAST_SCAN), CONTRACTS["kv"]))
+    runs += [(parse_program(random_kv_loop_source(rng, 2)), contract)
+             for contract in CONTRACTS.values()]
+    for program, contract in runs:
+        for max_steps in range(1, 160):
+            if compile_batch(program, ALPHA_175, contract[0],
+                             max_steps) is not None:
+                _segments_agree(program, contract, frames, None, state,
+                                max_steps)
+
+
+@pytest.fixture(scope="module")
+def kv_programs():
+    """The four KV programs as the runtime admits them: decoded from
+    their certified binaries."""
+    policy = kv_packet_policy()
+    return {spec.name: certify(spec.source, policy,
+                               invariants=spec.invariants()).program
+            for spec in KV_PROGRAMS}
+
+
+@pytest.mark.parametrize("budget", [None, 12, 40, 75, 130, 260, 100_000])
+@pytest.mark.parametrize("name", [spec.name for spec in KV_PROGRAMS])
+def test_kv_binaries_compiled_vs_generic(kv_programs, name, budget):
+    """The four certified KV binaries over Zipf, adversarial and
+    degenerate frames at every budget — including budgets that trip
+    inside a table scan after the scan has stored — with the state
+    bytes compared after each segment."""
+    rng = random.Random(0x4B56)
+    frames = (generate_kv_trace(KvTraceConfig(packets=300, seed=5))
+              + generate_adversarial_trace(120, seed=5)
+              + DEGENERATE_FRAMES
+              + [bytes(rng.randrange(256) for _ in range(n))
+                 for n in (64, 1518)])
+    state = bytes(rng.randrange(256) for _ in range(STATE_SIZE))
+    _segments_agree(kv_programs[name], CONTRACTS["kv"], frames, budget,
+                    state)

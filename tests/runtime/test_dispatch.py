@@ -7,12 +7,14 @@ bit-for-bit, because the runtime runs the *same* certified code over the
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.filters.oracle import ORACLES
 from repro.filters.packets import oversize_frame, truncate_frame
 from repro.runtime import PacketRuntime, RuntimeConfig
+from repro.runtime.shard import Shard
 
 PACKETS = 250
 
@@ -114,3 +116,45 @@ def test_modeled_throughput_uses_busiest_shard(filter_policy, filter_blobs,
     expected = max(report.shard_cycles) / (report.clock_mhz * 1e6)
     assert report.modeled_seconds == expected
     assert report.modeled_packets_per_second == 200 / expected
+
+
+class _ShardCrash(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_serve_reraises_a_shard_crash(filter_policy, filter_blobs,
+                                      small_trace, monkeypatch, shards):
+    """A worker's exception reaches the serve() caller (after every
+    worker is joined) instead of a report counting frames no extension
+    saw."""
+    runtime = PacketRuntime(filter_policy, RuntimeConfig(shards=shards))
+    _attach_all(runtime, filter_blobs)
+    crashed = []
+
+    def crash(self, frames, extensions, policy, collect=False):
+        crashed.append(self.index)
+        raise _ShardCrash(f"shard {self.index} down")
+
+    monkeypatch.setattr(Shard, "dispatch", crash)
+    with pytest.raises(_ShardCrash, match="shard 0 down"):
+        runtime.serve(small_trace[:100])
+    assert sorted(crashed) == list(range(shards))
+    assert runtime.snapshot().dispatches == 0
+
+
+def test_one_shard_serve_runs_on_the_calling_thread(
+        filter_policy, filter_blobs, small_trace, monkeypatch):
+    runtime = PacketRuntime(filter_policy, RuntimeConfig(shards=1))
+    _attach_all(runtime, filter_blobs)
+    threads = []
+    dispatch = Shard.dispatch
+
+    def spy(self, *args, **kwargs):
+        threads.append(threading.current_thread())
+        return dispatch(self, *args, **kwargs)
+
+    monkeypatch.setattr(Shard, "dispatch", spy)
+    report = runtime.serve(small_trace[:PACKETS])
+    assert threads == [threading.current_thread()]
+    assert report.packets == PACKETS

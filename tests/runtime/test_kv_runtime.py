@@ -1,18 +1,22 @@
 """The write-capable family under the dispatch runtime.
 
-Admission (auto WCET budgets, clean batch-compiler fallback), and the
-acceptance property of the whole PR: a runtime dispatching the
-adversarial trace leaves per-shard persistent state *bit-identical* to
-the pure-Python oracle, alongside every verdict and packet rewrite.
+Admission (auto WCET budgets, compiled batch drivers, the reported
+execution tier), and the acceptance property of the family: a runtime
+dispatching the adversarial trace leaves per-shard persistent state
+*bit-identical* to the pure-Python oracle, alongside every verdict and
+packet rewrite — also when two store-bearing extensions share a shard.
 """
 
 import pytest
 
 from repro.alpha.batch import FramePlan, batch_capability, compile_batch
+from repro.alpha.parser import parse_program
 from repro.analysis import context_for_policy, estimate_wcet
 from repro.filters.kv import (
+    KV_EVICT,
     KV_INSERT,
     KV_PROGRAMS,
+    KV_STATE_BASE,
     STATE_SIZE,
     kv_packet_policy,
     kv_registers,
@@ -28,6 +32,19 @@ from repro.runtime import PacketRuntime, RuntimeConfig
 
 PACKETS = 600
 
+KV_PLAN = FramePlan(PACKET_BASE, KV_STATE_BASE, STATE_SIZE, kv=True)
+
+#: A two-entry cycle: the loop a <-> b is entered at both blocks, so
+#: neither dominates the other (irreducible flow).  It touches no memory,
+#: so it certifies with a trivial invariant at its backward target.
+IRREDUCIBLE_SOURCE = """
+        BEQ    r2, b
+a:      ADDQ   r4, 1, r4
+b:      ADDQ   r5, 1, r5
+        BNE    r5, a
+        RET
+"""
+
 
 @pytest.fixture(scope="module")
 def kv_policy():
@@ -40,6 +57,13 @@ def kv_blobs(kv_policy):
                                invariants=spec.invariants()
                                ).binary.to_bytes()
             for spec in KV_PROGRAMS}
+
+
+@pytest.fixture(scope="module")
+def irreducible_blob(kv_policy):
+    from repro.logic.formulas import Truth
+    return certify(IRREDUCIBLE_SOURCE, kv_policy,
+                   invariants={1: Truth()}).binary.to_bytes()
 
 
 def _kv_runtime(kv_policy, **overrides):
@@ -72,28 +96,59 @@ def test_admission_with_auto_wcet_budget(kv_policy, kv_blobs):
         assert extension.cycle_budget == report.budget(0.0)
 
 
-def test_store_bearing_admission_never_raises_on_batch_path(kv_policy,
-                                                            kv_blobs):
-    """Satellite: the batch compiler's capability probe routes the
-    store-bearing family to the generic engine — admission completes,
-    no mid-admission surprise."""
+def test_store_bearing_admission_never_raises_on_batch_path(
+        kv_policy, kv_blobs, irreducible_blob):
+    """Admission of the store-bearing family completes on the compiled
+    path: every KV program gets a batch driver next to its engine, and
+    a certified program of a still-refused shape (irreducible flow) is
+    admitted onto the generic engine rather than raise."""
     runtime = _kv_runtime(kv_policy)
     for name, blob in kv_blobs.items():
         extension = runtime.attach(name, blob)
-        assert extension.batch_runner is None
+        assert extension.batch_runner is not None, name
         assert extension.engine is not None
+    refused = runtime.attach("irreducible", irreducible_blob)
+    assert refused.batch_runner is None
+    assert refused.engine is not None
+
+
+def test_readmission_reuses_the_cached_driver(kv_policy, kv_blobs):
+    """Drivers live in the engine's code cache: a detached and
+    re-attached program, or the same program in a second runtime, gets
+    the driver compiled the first time."""
+    runtime = _kv_runtime(kv_policy)
+    first = runtime.attach(KV_INSERT.name, kv_blobs[KV_INSERT.name])
+    runtime.detach(KV_INSERT.name)
+    again = runtime.attach(KV_INSERT.name, kv_blobs[KV_INSERT.name])
+    other = _kv_runtime(kv_policy).attach(KV_INSERT.name,
+                                          kv_blobs[KV_INSERT.name])
+    assert first.batch_runner is again.batch_runner is other.batch_runner
 
 
 def test_batch_capability_names_the_reason():
-    for spec in KV_PROGRAMS:
-        reason = batch_capability(spec.program)
-        assert reason is not None
-        assert "store" in reason or "loop" in reason
-
+    """The KV family's packet/state stores and invariant-cut scan loops
+    are batchable, as are the paper filters; irreducible flow and a
+    step-limit-reachable path are still refused, with a reason."""
     from repro.filters.programs import FILTERS
-    for filter_spec in FILTERS:
-        assert batch_capability(filter_spec.program) is None, \
-            filter_spec.name
+    for spec in KV_PROGRAMS + FILTERS:
+        assert batch_capability(spec.program) is None, spec.name
+
+    reason = batch_capability(parse_program(IRREDUCIBLE_SOURCE))
+    assert reason is not None and "irreducible" in reason
+    reason = batch_capability(KV_INSERT.program, max_steps=5)
+    assert reason is not None and "step" in reason
+
+
+def test_batch_probe_never_raises_on_long_programs():
+    """A 10,000-block chain is far past Python's recursion limit: the
+    probe still answers, and compile_batch declines (size caps) rather
+    than raise."""
+    from repro.alpha.isa import Branch, Lit, Operate, Reg, Ret
+    chain = (Operate("ADDQ", Reg(4), Lit(1), Reg(4)),
+             Branch("BEQ", Reg(4), 0)) * 5000
+    program = chain + (Ret(),)
+    assert batch_capability(program) is None
+    assert compile_batch(program, ALPHA_175, KV_PLAN) is None
 
 
 def test_compile_batch_agrees_with_capability_probe():
@@ -188,3 +243,65 @@ def test_auto_budget_never_faults_on_kv_workload(kv_policy, kv_blobs):
     for left, right in zip(budgeted.extensions, unbudgeted.extensions):
         assert left.name == right.name
         assert left.accepted == right.accepted
+
+
+# -- telemetry: the execution tier --------------------------------------
+
+
+def test_snapshot_reports_execution_tier(kv_policy, kv_blobs,
+                                        irreducible_blob):
+    """KV programs report the compiled tier; a program the batch
+    compiler refuses reports the engine tier with the refusal reason,
+    in the snapshot and its JSON form alike."""
+    runtime = _kv_runtime(kv_policy)
+    for name, blob in kv_blobs.items():
+        runtime.attach(name, blob)
+    runtime.attach("irreducible", irreducible_blob)
+    snapshot = runtime.snapshot()
+    for spec in KV_PROGRAMS:
+        ext = snapshot.extension(spec.name)
+        assert (ext.tier, ext.tier_reason) == ("batch", None), ext.name
+    refused = snapshot.extension("irreducible").to_dict()
+    assert refused["tier"] == "engine"
+    assert "irreducible" in refused["tier_reason"]
+
+
+# -- several store-bearing extensions on one shard ----------------------
+
+
+def _shared_state_run(kv_policy, kv_blobs, frames, method, **kwargs):
+    runtime = _kv_runtime(kv_policy)
+    for spec in (KV_INSERT, KV_EVICT):
+        runtime.attach(spec.name, kv_blobs[spec.name])
+    report = getattr(runtime, method)(frames, **kwargs)
+    snapshot = runtime.snapshot()
+    return (report.records,
+            [(ext.name, ext.packets_in, ext.accepted, ext.faults,
+              ext.cycles, ext.p50_cycles, ext.p99_cycles)
+             for ext in snapshot.extensions],
+            snapshot.shard_cycles,
+            bytes(runtime.shards[0].memory.region("state")))
+
+
+def test_shared_state_extensions_keep_frame_major_order(kv_policy,
+                                                        kv_blobs):
+    """kv-insert and kv-evict share one shard's table: serve(),
+    dispatch() and the per-packet dispatch(collect=True) reference agree
+    on counters, cycle clocks and the final state bytes, and the
+    collected verdicts match an oracle replay in frame-major order."""
+    frames = _contract_frames(generate_kv_trace(
+        KvTraceConfig(packets=300, seed=3)))
+    reference = _shared_state_run(kv_policy, kv_blobs, frames, "dispatch",
+                                  collect=True)
+    for method in ("serve", "dispatch"):
+        got = _shared_state_run(kv_policy, kv_blobs, frames, method)
+        assert got[1:] == reference[1:], method
+
+    from repro.filters.kv import ORACLES, initial_state
+    state = initial_state()
+    for frame, record in zip(frames, reference[0]):
+        for spec in (KV_INSERT, KV_EVICT):      # attach order
+            verdict = bool(ORACLES[spec.name](state, frame)[0])
+            assert record[spec.name] == verdict
+    assert reference[3] == b"".join(word.to_bytes(8, "little")
+                                    for word in state)
