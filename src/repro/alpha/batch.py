@@ -64,6 +64,15 @@ It is a partial evaluator specialized to an invocation contract
   limit hands its frame to the engine at that header, which finishes
   it with the exact single-step semantics.
 
+No block graph is built here.  :func:`repro.analysis.cfg.build_cfg`
+carves the blocks at the engine's leaders, and this module reads block
+lengths, natural-loop bodies, irreducible edges and longest paths from
+it.  The WCET pass (:mod:`repro.analysis.wcet`) bounds the same graph,
+so the engine, the driver and the cycle budget charge cycles at the same
+block boundaries.  Only the header liveness that picks the loop-carried
+registers lives here: it must be exact, where lint's is deliberately
+conservative.
+
 The compiled driver is **bit-identical** to running the engine frame by
 frame over the contract's reusable memory: same verdicts, same cycle
 counts, same side-region bytes, same error types, messages and fault
@@ -97,7 +106,6 @@ from repro.alpha.isa import (
     WORD_MASK,
     Br,
     Branch,
-    Lda,
     Ldah,
     Ldq,
     Lit,
@@ -105,9 +113,12 @@ from repro.alpha.isa import (
     Program,
     Ret,
     Stq,
+    read_registers,
+    written_register,
 )
-from repro.alpha.engine import ExecutionEngine, block_leaders, cached
+from repro.alpha.engine import ExecutionEngine, cached
 from repro.alpha.machine import Memory, _sext16
+from repro.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.errors import BudgetExceeded, MachineError
 
 __all__ = ["BatchRunner", "FramePlan", "batch_capability", "compile_batch"]
@@ -200,222 +211,6 @@ class BatchRunner:
         return self._budgeted(frames, start, state, cycle_budget)
 
 
-class _Loop(NamedTuple):
-    """One natural loop: its blocks (header included), the registers
-    live at its header (the rest hold nothing any path reads), the
-    registers its body writes and that are live (the loop-carried set),
-    and whether it stores."""
-
-    body: frozenset
-    live: frozenset
-    carried: tuple
-    stores: bool
-
-
-class _Graph:
-    """The program's block graph, carved exactly as the engine's block
-    table is — the driver must charge cycles and check budgets at the
-    same boundaries or BudgetExceeded payloads would drift — with its
-    natural loops.  ``reason`` says why the program cannot take the
-    compiled path, or is None."""
-
-    def __init__(self, program: Program, max_steps: int) -> None:
-        size = len(program)
-        self.length: dict[int, int] = {}
-        self.succs: dict[int, tuple] = {}
-        self.loops: dict[int, _Loop] = {}
-        self.post: list[int] = []
-        self.stores = any(isinstance(ins, Stq) for ins in program)
-        self.nested = False
-        self.reason: str | None = None
-        for pc, instruction in enumerate(program):
-            if not isinstance(instruction, (Operate, Ldq, Stq, Lda, Ldah,
-                                            Branch, Br, Ret)):
-                self.reason = (f"unsupported {type(instruction).__name__} "
-                               f"at pc={pc}")  # pragma: no cover
-                return
-        leaders = block_leaders(program)
-        for leader in leaders:
-            pc = leader
-            while True:
-                instruction = program[pc]
-                pc += 1
-                if (isinstance(instruction, (Branch, Br, Ret))
-                        or pc >= size or pc in leaders):
-                    break
-            self.length[leader] = pc - leader
-        for leader, count in self.length.items():
-            last_pc = leader + count - 1
-            last = program[last_pc]
-            if isinstance(last, Ret):
-                self.succs[leader] = ()
-            elif isinstance(last, Br):
-                self.succs[leader] = (last_pc + 1 + last.offset,)
-            elif isinstance(last, Branch):
-                self.succs[leader] = (last_pc + 1 + last.offset,
-                                      last_pc + 1)
-            else:                   # fell through into a leader
-                self.succs[leader] = (leader + count,)
-        if not size:
-            return
-        # Depth-first from pc 0 (an explicit stack: no recursion limit on
-        # long programs): postorder, plus the retreating edges (into a
-        # block still on the stack) every cycle must contain.
-        on_stack = {0}
-        seen = {0}
-        retreating: list[tuple[int, int]] = []
-        stack = [(0, iter(self.succs[0]))]
-        while stack:
-            leader, pending = stack[-1]
-            for succ in pending:
-                if not 0 <= succ < size:
-                    continue        # trap: no block
-                if succ in on_stack:
-                    retreating.append((leader, succ))
-                elif succ not in seen:
-                    seen.add(succ)
-                    on_stack.add(succ)
-                    stack.append((succ, iter(self.succs[succ])))
-                    break
-            else:
-                stack.pop()
-                on_stack.discard(leader)
-                self.post.append(leader)
-        self.reason = self._find_loops(program, retreating)
-        if self.reason is None:
-            steps = self.longest(self.length)[0]
-            if steps >= max_steps:
-                self.reason = (f"worst-case path of {steps} steps reaches "
-                               f"the {max_steps}-step limit")
-
-    def _find_loops(self, program: Program,
-                    retreating: list[tuple[int, int]]) -> str | None:
-        """Check that every retreating edge targets a block dominating
-        its source (reducibility), and collect each header's natural
-        loop; returns the refusal reason for irreducible flow."""
-        post = self.post
-        number = {leader: index for index, leader in enumerate(post)}
-        preds: dict[int, list[int]] = {leader: [] for leader in post}
-        for leader in post:
-            for succ in self.succs[leader]:
-                if succ in preds:
-                    preds[succ].append(leader)
-        # Immediate dominators (Cooper, Harvey and Kennedy's iteration
-        # over reverse postorder).
-        idom = {0: 0}
-        changed = True
-        while changed:
-            changed = False
-            for leader in reversed(post):
-                if leader == 0:
-                    continue
-                new = None
-                for pred in preds[leader]:
-                    if pred not in idom:
-                        continue
-                    if new is None:
-                        new = pred
-                        continue
-                    x, y = pred, new
-                    while x != y:
-                        while number[x] < number[y]:
-                            x = idom[x]
-                        while number[y] < number[x]:
-                            y = idom[y]
-                    new = x
-                if idom.get(leader) != new:
-                    idom[leader] = new
-                    changed = True
-
-        def dominates(header: int, leader: int) -> bool:
-            while leader != header:
-                if leader == 0:
-                    return False
-                leader = idom[leader]
-            return True
-
-        bodies: dict[int, set[int]] = {}
-        for source, header in retreating:
-            if not dominates(header, source):
-                return (f"irreducible loop: the edge from pc="
-                        f"{source + self.length[source] - 1} re-enters "
-                        f"pc={header}, which does not dominate it")
-            body = bodies.setdefault(header, {header})
-            stack = [source]
-            while stack:
-                leader = stack.pop()
-                if leader not in body:
-                    body.add(leader)
-                    stack.extend(preds[leader])
-        live = self._live_in(program) if bodies else {}
-        for header, body in bodies.items():
-            writes: set[int] = set()
-            stores = False
-            for leader in body:
-                for ins in program[leader:leader + self.length[leader]]:
-                    written = _defs_uses(ins)[0]
-                    if written is not None:
-                        writes.add(written)
-                    stores = stores or isinstance(ins, Stq)
-            self.loops[header] = _Loop(
-                frozenset(body), frozenset(live[header]),
-                tuple(sorted(writes & live[header])), stores)
-        self.nested = any(header in other.body
-                          for header in self.loops
-                          for outer, other in self.loops.items()
-                          if outer != header)
-        return None
-
-    def _live_in(self, program: Program) -> dict[int, set[int]]:
-        """The registers live at each block entry (read on some path
-        before being written; RET reads r0), to a fixpoint."""
-        live: dict[int, set[int]] = {leader: set() for leader in self.post}
-        changed = True
-        while changed:
-            changed = False
-            for leader in self.post:
-                regs: set[int] = set()
-                for succ in self.succs[leader]:
-                    regs |= live.get(succ, set())
-                for ins in reversed(
-                        program[leader:leader + self.length[leader]]):
-                    written, read = _defs_uses(ins)
-                    regs.discard(written)
-                    regs.update(read)
-                if regs != live[leader]:
-                    live[leader] = regs
-                    changed = True
-        return live
-
-    def longest(self, weight: dict[int, int]) -> dict[int, int]:
-        """Per block: the heaviest run from its entry to a RET, a trap
-        or the next loop header (the header itself not counted).  Every
-        cycle passes a header, so this is a DAG walk; postorder visits
-        each block's other successors first."""
-        best: dict[int, int] = {}
-        for leader in self.post:
-            best[leader] = weight[leader] + max(
-                (best[succ] for succ in self.succs[leader]
-                 if succ in best and succ not in self.loops), default=0)
-        return best
-
-
-def _defs_uses(ins) -> tuple[int | None, tuple[int, ...]]:
-    """The register an instruction writes (or None) and those it reads."""
-    if isinstance(ins, Operate):
-        rb = () if isinstance(ins.rb, Lit) else (ins.rb.index,)
-        return ins.rc.index, (ins.ra.index, *rb)
-    if isinstance(ins, (Ldq, Lda, Ldah)):
-        return ins.rd.index, (ins.rs.index,)
-    if isinstance(ins, Stq):
-        return None, (ins.rs.index, ins.rd.index)
-    if isinstance(ins, Branch):
-        return None, (ins.rs.index,)
-    if isinstance(ins, Ret):
-        return None, (0,)
-    return None, ()
-
-
 def batch_capability(program: Program,
                      max_steps: int = 1_000_000) -> str | None:
     """Why ``program`` cannot take the compiled batch path, or ``None``.
@@ -423,10 +218,81 @@ def batch_capability(program: Program,
     The explicit admission-time capability probe: irreducible control
     flow and step-limit-reachable loop-free programs are refused with a
     reason and must route to the generic engine cleanly — this function
-    never raises, and :func:`compile_batch` walks the same block graph,
+    never raises, and :func:`compile_batch` reads the same block graph,
     so a non-batchable program can never blow up mid-admission.
     """
-    return _Graph(program, max_steps).reason
+    return _refusal(build_cfg(program), max_steps)
+
+
+def _refusal(cfg: ControlFlowGraph, max_steps: int) -> str | None:
+    if cfg.irreducible_edges:
+        source, header = cfg.irreducible_edges[0]
+        return (f"irreducible loop: the edge from pc="
+                f"{cfg.blocks[source].terminator_pc} re-enters "
+                f"pc={cfg.blocks[header].start}, which does not dominate it")
+    steps = _steps_ahead(cfg).get(0, 0)
+    if steps >= max_steps:
+        return (f"worst-case path of {steps} steps reaches the "
+                f"{max_steps}-step limit")
+    return None
+
+
+def _steps_ahead(cfg: ControlFlowGraph) -> dict[int, int]:
+    """Per block: the most steps from its entry to a RET, a trap or the
+    next loop header (the header itself not counted).  The driver hands
+    a frame to the engine only at a loop header, so this is how far a
+    run can go unchecked."""
+    return cfg.longest_paths([block.end - block.start
+                              for block in cfg.blocks],
+                             {loop.header for loop in cfg.loops})
+
+
+def _loops(program: Program, cfg: ControlFlowGraph) -> dict[int, tuple]:
+    """Per natural loop, keyed by its header's pc: the registers live at
+    the header (the rest hold nothing any path reads), the registers the
+    body writes that are live there (the loop-carried set), whether the
+    body stores, and the steps ahead of the header."""
+    if not cfg.loops:
+        return {}
+    live = _live_in(program, cfg)
+    ahead = _steps_ahead(cfg)
+    loops = {}
+    for loop in cfg.loops:
+        body = [program[pc] for index in loop.blocks
+                for pc in range(cfg.blocks[index].start,
+                                cfg.blocks[index].end)]
+        writes = {written_register(ins) for ins in body}
+        loops[cfg.blocks[loop.header].start] = (
+            frozenset(live[loop.header]),
+            tuple(sorted(writes & live[loop.header])),
+            any(isinstance(ins, Stq) for ins in body),
+            ahead[loop.header])
+    return loops
+
+
+def _live_in(program: Program, cfg: ControlFlowGraph) -> dict[int, set]:
+    """The registers live at each reachable block's entry (read on some
+    path before being written; RET reads r0), to a fixpoint.  Exact, as
+    the carried set must be: unlike lint's liveness, a trap reads no
+    register here, because the driver's trap only raises."""
+    live: dict[int, set[int]] = {index: set() for index in cfg.post_order}
+    changed = True
+    while changed:
+        changed = False
+        for index in cfg.post_order:
+            block = cfg.blocks[index]
+            regs: set[int] = set()
+            for succ in block.successors:
+                regs |= live[succ]
+            for ins in reversed(program[block.start:block.end]):
+                regs.discard(written_register(ins))
+                regs |= read_registers(ins)
+                if isinstance(ins, Ret):
+                    regs.add(0)
+            if regs != live[index]:
+                live[index] = regs
+                changed = True
+    return live
 
 
 def compile_batch(program: Program, cost_model, plan: FramePlan,
@@ -444,21 +310,21 @@ def compile_batch(program: Program, cost_model, plan: FramePlan,
 
 def _compile(program: Program, cost_model, plan: FramePlan,
              max_steps: int) -> BatchRunner | None:
-    graph = _Graph(program, max_steps)
-    if graph.reason is not None:
+    cfg = build_cfg(program)
+    if _refusal(cfg, max_steps) is not None:
         return None
     costs = [cost_model.cycles(ins) if cost_model else 1 for ins in program]
-    block_cost = {leader: sum(costs[leader:leader + count])
-                  for leader, count in graph.length.items()}
+    block_cost = [sum(costs[block.start:block.end]) for block in cfg.blocks]
     # A loop-free program's costliest path bounds every run, which is
     # what lets BatchRunner.run drop the budget compares.
-    max_path_cycles = (None if graph.loops
-                       else graph.longest(block_cost).get(0, 0))
+    max_path_cycles = (None if cfg.loops
+                       else cfg.longest_paths(block_cost).get(0, 0))
+    loops = _loops(program, cfg)
     slow = _make_slow(program, cost_model, plan, max_steps)
     try:
-        plain = _emit_driver(program, plan, graph, block_cost, max_steps,
-                             slow, budgeted=False)
-        budgeted = _emit_driver(program, plan, graph, block_cost,
+        plain = _emit_driver(program, plan, cfg, loops, block_cost,
+                             max_steps, slow, budgeted=False)
+        budgeted = _emit_driver(program, plan, cfg, loops, block_cost,
                                 max_steps, slow, budgeted=True)
     except _Fallback:
         return None
@@ -830,14 +696,13 @@ def _guards(addr: str, mn: int, mx: int, kz: int, low: int,
     return checks
 
 
-def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
-                 block_cost: dict[int, int], max_steps: int, slow,
-                 budgeted: bool):
+def _emit_driver(program: Program, plan: FramePlan, cfg: ControlFlowGraph,
+                 loops: dict[int, tuple], block_cost: list[int],
+                 max_steps: int, slow, budgeted: bool):
     size = len(program)
-    block_len = graph.length
-    # Per loop header: the longest run to the next header or leaf, so
-    # one compare per iteration keeps the engine's step limit exact.
-    steps_ahead = graph.longest(block_len)
+    stores = any(isinstance(ins, Stq) for ins in program)
+    nested = any(loop.header in other.blocks for loop in cfg.loops
+                 for other in cfg.loops if other is not loop)
     pb, sb, ss = plan.packet_base, plan.side_base, plan.side_size
     side_top = sb + ss - 8
     lines: list[str] = []
@@ -1084,12 +949,12 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
                 return
         if len(path.loops) >= _MAX_LOOPS:
             raise _Fallback("loops nested too deep")
-        loop = graph.loops[pc]
+        live, carried_regs, loop_stores, ahead = loops[pc]
         sync(path, indent)
-        if loop.stores:
+        if loop_stores:
             use_side(path, indent)
         carried = {}
-        for reg in loop.carried:
+        for reg in carried_regs:
             state["carried"] += 1
             carried[reg] = f"v{state['carried']}"
         carry(path, carried, indent)
@@ -1100,12 +965,14 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
         body.loops = path.loops + ((pc, carried),)
         emit(indent, "while True:")
         # Within reach of the step limit: the engine finishes the frame
-        # from this block entry, with its single-step semantics.
+        # from this block entry, with its single-step semantics.  One
+        # compare per iteration keeps the limit exact, against the
+        # longest run to the next header or leaf.
         regs = ", ".join(str(body.regs.get(index, _ZERO)[1])
-                         if index in loop.live else "0"
+                         if index in live else "0"
                          for index in range(NUM_REGS))
         side = "st" if body.side else "None"
-        emit(indent + 1, f"if sp > {max_steps - steps_ahead[pc] - 1}:")
+        emit(indent + 1, f"if sp > {max_steps - ahead - 1}:")
         emit(indent + 2, f"sv, sc = slow({pc}, [{regs}], sp, cy, frame, "
                          f"{side}{', b' if budgeted else ''})")
         emit(indent + 2, "accepted += 1 if sv else 0")
@@ -1115,7 +982,7 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
         walk(pc, body, indent + 1, at_header=True)
         if path.loops:
             # The loop ended its frame (or continues an outer loop).
-            if graph.nested:
+            if nested:
                 depth = len(path.loops)
                 emit(indent, f"if g == {depth}:")
                 emit(indent + 1, "g = 0")
@@ -1133,13 +1000,14 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
                 emit(indent,
                      f'raise MachineError("pc {pc} outside program")')
                 return
-            if pc in graph.loops and not at_header:
+            if pc in loops and not at_header:
                 loop_edge(pc, path, indent)
                 return
             at_header = False
             # Block entry: charge the block, then (budgeted) compare the
             # clock, reproducing the budgeted run's payloads.
-            path.cycles += block_cost[pc]
+            block = cfg.blocks[cfg.block_of[pc]]
+            path.cycles += block_cost[block.index]
             if budgeted:
                 cycles, steps = path.clock()
                 shown = (f"{{{cycles}}} cycles after {{{steps}}}"
@@ -1150,8 +1018,8 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
                      f'raise BudgetExceeded(f"exceeded cycle budget '
                      f'{{b}} ({shown} steps)", budget=b, '
                      f'cycles={cycles}, steps={steps})')
-            path.steps += block_len[pc]
-            end = pc + block_len[pc]
+            end = block.end
+            path.steps += end - pc
             transferred = False
             for p in range(pc, end):
                 instruction = program[p]
@@ -1203,9 +1071,9 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
     emit(1, "try:")
     emit(2, "for frame in (frames[start:] if start else frames):")
     emit(3, "flen = len(frame)")
-    if graph.stores:
+    if stores:
         emit(3, "orig = frame")     # sedge copies the packet on write
-    if graph.nested:
+    if nested:
         emit(3, "g = 0")
     walk(0, _Path(entry, plan.kv), 3)
     pairs = "[" + ", ".join(f"({cycles}, {name})" for cycles, name
@@ -1235,9 +1103,9 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _Graph,
         "BudgetExceeded": BudgetExceeded,
     }
     helpers = ["q=q", "edge=edge"]
-    if graph.stores:
+    if stores:
         helpers += ["pack=pack", "sedge=sedge"]
-    if graph.loops:
+    if loops:
         helpers.append("slow=slow")
     signature = "frames, start, st, b" if budgeted else "frames, start, st"
     header = [f"def _drive({signature}, {', '.join(helpers)}):",

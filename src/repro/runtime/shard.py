@@ -214,6 +214,11 @@ class Shard:
                 else:
                     engine = extension.engine
                 counters.packets_in += 1
+                canary = extension.canary
+                # A shadow candidate starts from the side bytes the live
+                # invocation starts from, not from what it leaves.
+                before = (bytes(self.state) if canary is not None
+                          and self.state is not None else None)
                 # Budgets are per extension, resolved at admission
                 # (fixed config value or WCET-derived under "auto").
                 budget = extension.cycle_budget
@@ -228,9 +233,8 @@ class Shard:
                         counters.cycles += error.cycles
                         self.cycles += error.cycles
                     extension.record_fault(fault_reason(error), threshold)
-                    canary = extension.canary
                     if canary is not None:
-                        canary.consider(self, frame, None, policy)
+                        canary.consider(self, frame, None, policy, before)
                     if collect:
                         verdicts[extension.name] = None
                     continue
@@ -243,11 +247,11 @@ class Shard:
                 counters.accepted += verdict
                 if extension.consecutive_faults:
                     extension.record_success()
-                canary = extension.canary
                 if canary is not None:
                     # Shadow dispatch: rebinds the memory for its own
-                    # invocation, so the live stream is untouched.
-                    canary.consider(self, frame, verdict, policy)
+                    # invocation and puts the live state back after it,
+                    # so the live stream is untouched.
+                    canary.consider(self, frame, verdict, policy, before)
                 if collect:
                     verdicts[extension.name] = verdict
             if collect:

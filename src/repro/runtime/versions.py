@@ -13,9 +13,11 @@ that upgrade path:
   verdicts remain authoritative; the candidate additionally runs on a
   configurable sample of the stream, its verdicts compared but never
   used.  Shadow execution rebinds the shard memory per invocation
-  exactly like live dispatch, so the candidate cannot perturb the live
-  stream — rollback therefore restores bit-identical verdicts *by
-  construction*, not by replay.
+  exactly like live dispatch; under a persistent-state contract the
+  candidate starts from the state the live invocation started from,
+  and the live invocation's state is put back after it.  So the
+  candidate cannot perturb the live stream — rollback therefore
+  restores bit-identical verdicts *by construction*, not by replay.
 * After ``promote_after`` sampled packets with agreeing verdicts and no
   faults, the canary **auto-promotes**: the candidate's program, engine,
   digest and freshly resolved cycle budget are swapped into the live
@@ -159,14 +161,18 @@ class ShadowCanary:
     # -- the shadow hot path (called from Shard.dispatch) ----------------
 
     def consider(self, shard, frame: bytes, live_verdict: bool | None,
-                 policy) -> None:
+                 policy, state: bytes | None) -> None:
         """Maybe run the candidate on ``frame`` and weigh the outcome.
 
         ``live_verdict`` is the authoritative verdict the live version
         just produced (``None`` if the live invocation faulted — such
         packets are skipped: there is no verdict to agree with, and the
         live fault is the quarantine machinery's problem, not the
-        canary's).
+        canary's).  Under a persistent-state contract (``shard.state``
+        set), ``state`` holds the side-region bytes the live invocation
+        started from: the candidate runs on them, and the live region
+        gets the live invocation's bytes back afterwards, so none of
+        the candidate's writes reach it.
         """
         if self.state is not VersionState.SHADOW:
             return
@@ -189,6 +195,10 @@ class ShadowCanary:
         counters = candidate.shard_counters[shard.index]
         counters.packets_in += 1
         budget = candidate.cycle_budget
+        live = shard.state
+        if live is not None:
+            after = bytes(live)
+            live[:] = state
         try:
             result = engine.run(shard.memory, registers, budget)
         except MachineError as error:
@@ -196,6 +206,9 @@ class ShadowCanary:
             self._observe(clean=False,
                           reason=f"candidate fault: {fault_reason(error)}")
             return
+        finally:
+            if live is not None:
+                live[:] = after
         counters.cycles += result.cycles
         hist = counters.cycle_hist
         hist[result.cycles] = hist.get(result.cycles, 0) + 1

@@ -305,3 +305,48 @@ def test_shared_state_extensions_keep_frame_major_order(kv_policy,
             assert record[spec.name] == verdict
     assert reference[3] == b"".join(word.to_bytes(8, "little")
                                     for word in state)
+
+
+def test_shadow_canary_never_touches_live_state(kv_policy, kv_blobs):
+    """A benign kv-evict upgrade shadowing next to kv-insert: the
+    candidate runs on the state the live invocation started from, and
+    none of its writes reach the live table.  Live accept counts and
+    state bytes match a run without the upgrade, both while the canary
+    is in flight and after it promotes."""
+    import dataclasses
+
+    from repro.runtime import CanaryConfig, VersionState
+
+    source = KV_EVICT.source.rstrip()
+    benign = dataclasses.replace(
+        KV_EVICT, source=source[:-len("RET")] + "ADDQ r3, 0, r3\n RET\n")
+    benign_blob = certify(benign.source, kv_policy,
+                          invariants=benign.invariants()).binary.to_bytes()
+    frames = _contract_frames(generate_kv_trace(
+        KvTraceConfig(packets=200, hosts=24)))
+    half = len(frames) // 2
+
+    def live_view(runtime):
+        return ([(ext.name, ext.packets_in, ext.accepted, ext.faults)
+                 for ext in runtime.snapshot().extensions],
+                bytes(runtime.shards[0].memory.region("state")))
+
+    runtimes = []
+    for upgrade in (False, True):
+        runtime = _kv_runtime(kv_policy)
+        for spec in (KV_INSERT, KV_EVICT):
+            runtime.attach(spec.name, kv_blobs[spec.name])
+        if upgrade:
+            canary = runtime.upgrade(KV_EVICT.name, benign_blob,
+                                     CanaryConfig(promote_after=half + 10))
+        runtimes.append(runtime)
+    plain, shadowed = runtimes
+
+    for runtime in runtimes:
+        runtime.dispatch(frames[:half])
+    assert canary.state is VersionState.SHADOW
+    assert live_view(shadowed) == live_view(plain)
+    for runtime in runtimes:
+        runtime.dispatch(frames[half:])
+    assert canary.state is VersionState.PROMOTED, canary.reason
+    assert live_view(shadowed) == live_view(plain)
